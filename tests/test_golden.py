@@ -1,0 +1,67 @@
+"""Golden canonical outputs: the SHA-256 of ``Expression.to_json`` for a
+fixed ladder of words must not change unless a change to the canonical form
+is intended.
+
+The ladder is every K and A word of length 1 to 3 in both sectors under
+drop-loops and a mu family, and in the unitary sector also under the dotted
+scheme, plus one 3-insertion word at radius 1/2 per scheme (400 words).
+The hashes live in ``golden_to_json.json`` next to this file; regenerate
+them (only for an intended change) with
+
+    PYTHONPATH=src python3 tests/test_golden.py
+"""
+
+import hashlib
+import itertools
+import json
+import os
+from fractions import Fraction
+
+from loopcorr.algebra import CURRENTS_A, CURRENTS_K, SectorConfig
+from loopcorr.renorm import CurrentWord, RenormScheme, evaluate_correlator
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_to_json.json")
+MU = {2: Fraction(1), 3: Fraction(1, 2), 4: Fraction(-2, 3)}
+DEFAULT_MU = Fraction(1, 3)
+
+
+def _schemes(realization, sector):
+    cfg = SectorConfig(realization, sector)
+    yield RenormScheme.drop_loops(cfg)
+    yield RenormScheme.mu_family(cfg, entries=MU, default=DEFAULT_MU)
+    if cfg.unitary:
+        yield RenormScheme.unitary_dotted(cfg, entries=MU, default=DEFAULT_MU)
+
+
+def ladder():
+    """(label, word, scheme) for every golden evaluation."""
+    for realization, currents in (("K", CURRENTS_K), ("A", CURRENTS_A)):
+        for sector in ("nonunitary", "unitary"):
+            for scheme in _schemes(realization, sector):
+                tag = f"{realization}/{sector}/{scheme.policy}"
+                for n in (1, 2, 3):
+                    for names in itertools.product(currents, repeat=n):
+                        yield f"{tag}: {' '.join(names)}", CurrentWord.from_names(names), scheme
+                yield (f"{tag}: {' '.join(currents)} @ r=1/2",
+                       CurrentWord.from_names(currents, radius=Fraction(1, 2)), scheme)
+
+
+def digests():
+    return {label: hashlib.sha256(evaluate_correlator(word, scheme).to_json().encode()).hexdigest()
+            for label, word, scheme in ladder()}
+
+
+def test_canonical_json_is_unchanged():
+    with open(GOLDEN, encoding="utf-8") as fh:
+        want = json.load(fh)
+    got = digests()
+    assert len(got) == 400
+    assert sorted(got) == sorted(want), "the golden ladder itself changed"
+    changed = [label for label in want if got[label] != want[label]]
+    assert not changed, f"canonical JSON changed for {len(changed)} words, first: {changed[:5]}"
+
+
+if __name__ == "__main__":
+    with open(GOLDEN, "w", encoding="utf-8") as fh:
+        json.dump(digests(), fh, indent=1, sort_keys=True)
+        fh.write("\n")
