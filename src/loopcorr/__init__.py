@@ -18,7 +18,7 @@ from .errors import (
     SingularProduct,
     StructuralViolation,
 )
-from .kernels import CirclePoint, KernelId, KernelValue, XiSequence, heisenberg_pair, kernel_eval, xi_eval
+from .kernels import CirclePoint, KernelId, KernelValue, XiSequence, heisenberg_pair, kernel_eval
 from .algebra import (
     CURRENT_STAR,
     CURRENTS_A,
@@ -52,7 +52,6 @@ from .verify import (
     relation_rhs,
     star_word,
 )
-from .cli import main, parse_current_word, render_word
 
 __all__ = [
     "CURRENT_STAR",
@@ -94,14 +93,10 @@ __all__ = [
     "kernel_eval",
     "loop_census",
     "loop_components",
-    "main",
     "mu_independence",
-    "parse_current_word",
     "relation_rhs",
-    "render_word",
     "smear",
     "star_check",
     "star_word",
     "to_dot",
-    "xi_eval",
 ]

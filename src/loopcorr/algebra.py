@@ -35,7 +35,7 @@ from typing import Dict, List, Optional, Tuple
 
 import sympy as sp
 
-from .distributions import Coeff
+from .distributions import Coeff, orient
 from .errors import RealizationMismatch
 
 logger = logging.getLogger(__name__)
@@ -59,28 +59,24 @@ EXP_CHARGE = {ALP: 1, ALM: -1, EP: 1, EM: -1, DALP: 1, DALM: -1, DEP: 1, DEM: -1
 
 CURRENTS_K = ("J+", "J-", "J3")
 CURRENTS_A = ("E", "F", "H")
+# exponential charge of each charged current
+CURRENT_CHARGE = {"J+": 1, "J-": -1, "E": 1, "F": -1}
 
 
 @dataclass(frozen=True)
 class SectorConfig:
-    """Which realization and sector a computation runs in.  ``kappa``, ``p``
-    and ``lam`` stay symbolic (tracked as monomial exponents) unless numeric
-    values are supplied for evaluation."""
+    """Which realization and sector a computation runs in.  The central
+    parameter kappa and the zero mode p stay symbolic (tracked as monomial
+    exponents of the coefficients)."""
 
     realization: str = "K"
     sector: str = "nonunitary"
-    kappa: Optional[object] = None
-    p: Optional[object] = None
-    lam: Optional[object] = None
 
     def __post_init__(self):
         if self.realization not in ("K", "A"):
             raise ValueError(f"realization must be 'K' or 'A', got {self.realization!r}")
         if self.sector not in ("unitary", "nonunitary"):
             raise ValueError(f"sector must be 'unitary' or 'nonunitary', got {self.sector!r}")
-        if self.kappa is not None and not isinstance(self.kappa, sp.Basic):
-            if not self.kappa > 0:
-                raise ValueError("kappa must be positive")
 
     @property
     def unitary(self) -> bool:
@@ -181,12 +177,6 @@ class CommPart:
     letters: Tuple[Tuple[str, int], ...] = ()
 
 
-def _delta(i: int, j: int, k: int) -> Tuple[Tuple[int, int, int], int]:
-    if i < j:
-        return (i, j, k), 1
-    return (j, i, k), (-1) ** k
-
-
 def primitive_commutator(left: str, right: str, i: int, j: int,
                          cfg: SectorConfig) -> List[CommPart]:
     """[left(u_i), right(u_j)] for primitive letters, i != j.
@@ -208,14 +198,16 @@ def primitive_commutator(left: str, right: str, i: int, j: int,
     if left not in (A_, B_):
         raise ValueError(f"commutators are implemented from the a/b side, got {left!r}")
 
+    # delta(u_i - u_j) is even under the endpoint swap, delta' picks up flip
+    lo, hi, flip = orient(i, j, 1)
+    d0, d1 = (lo, hi, 0), (lo, hi, 1)
     if right in (A_, B_):
         if right == left:
             return []
         if not cfg.unitary:
             return []
         sign = 1 if (left, right) == (A_, B_) else -1
-        tok, flip = _delta(i, j, 0)  # D is symmetric, reuse orientation helper
-        parts = [CommPart(Coeff.complex_rat(sign), dots=((0, tok[0], tok[1]),))]
+        parts = [CommPart(Coeff.complex_rat(sign), dots=((0, lo, hi),))]
         if cfg.realization == "A":
             parts.append(CommPart(Coeff.unit(xi0=-1, re=Fraction(sign, 2))))
         return parts
@@ -229,43 +221,27 @@ def primitive_commutator(left: str, right: str, i: int, j: int,
 
     if right in (ALP, ALM):
         eps = EXP_CHARGE[right]
-        tok, flip = _delta(i, j, 0)
-        return [CommPart(Coeff.complex_rat(-eps * flip), deltas=(tok,),
-                         letters=((right, j),))]
+        return [CommPart(Coeff.complex_rat(-eps), deltas=(d0,), letters=((right, j),))]
     if right in (EP, EM):
         sig = EXP_CHARGE[right]
-        tok, flip = _delta(i, j, 0)
-        return [CommPart(Coeff.complex_rat(0, sig * flip), deltas=(tok,),
-                         letters=((right, j),))]
+        return [CommPart(Coeff.complex_rat(0, sig), deltas=(d0,), letters=((right, j),))]
     if right in (DALP, DALM):
-        # d/dv of the alpha commutator: two terms
+        # d/dv of the alpha commutator: two terms, with
+        # d_v delta(u_i - u_j) = -(d_{u_i} delta) in token orientation terms
         eps = EXP_CHARGE[right]
         base = ALP if eps > 0 else ALM
-        tok1, flip1 = _delta(i, j, 1)
-        # d_v delta(u_i - u_j) = -(d_{u_i} delta) in token orientation terms
-        parts = [CommPart(Coeff.complex_rat(eps * flip1), deltas=(tok1,),
-                          letters=((base, j),))]
-        tok0, flip0 = _delta(i, j, 0)
-        parts.append(CommPart(Coeff.complex_rat(-eps * flip0), deltas=(tok0,),
-                              letters=((right, j),)))
-        return parts
+        return [CommPart(Coeff.complex_rat(eps * flip), deltas=(d1,), letters=((base, j),)),
+                CommPart(Coeff.complex_rat(-eps), deltas=(d0,), letters=((right, j),))]
     if right in (DEP, DEM):
         sig = EXP_CHARGE[right]
         base = EP if sig > 0 else EM
-        tok1, flip1 = _delta(i, j, 1)
-        parts = [CommPart(Coeff.complex_rat(0, -sig * flip1), deltas=(tok1,),
-                          letters=((base, j),))]
-        tok0, flip0 = _delta(i, j, 0)
-        parts.append(CommPart(Coeff.complex_rat(0, sig * flip0), deltas=(tok0,),
-                              letters=((right, j),)))
-        return parts
+        return [CommPart(Coeff.complex_rat(0, -sig * flip), deltas=(d1,), letters=((base, j),)),
+                CommPart(Coeff.complex_rat(0, sig), deltas=(d0,), letters=((right, j),))]
     if right == LK:
         # [a/b(u), alpha^- d alpha^+ (v)] = + delta'(u - v), a pure number
-        tok, flip = _delta(i, j, 1)
-        return [CommPart(Coeff.complex_rat(flip), deltas=(tok,))]
+        return [CommPart(Coeff.complex_rat(flip), deltas=(d1,))]
     if right == LA:
-        tok, flip = _delta(i, j, 1)
-        return [CommPart(Coeff.complex_rat(0, -flip), deltas=(tok,))]
+        return [CommPart(Coeff.complex_rat(0, -flip), deltas=(d1,))]
     raise ValueError(f"unknown letter {right!r}")
 
 

@@ -264,15 +264,10 @@ def _cmd_selfcheck(args) -> int:
 
     fam_a = RenormScheme.mu_family(cfg, default=0)
     fam_b = RenormScheme.mu_family(cfg, entries={2: 1, 3: Fraction(1, 2), 4: Fraction(1, 3)})
-    cases = []
-    for x in currents:
-        for y in currents:
-            for total in range(args.context + 1):
-                for ctx in itertools.product(currents, repeat=total):
-                    for cut in range(total + 1):
-                        case = verify.CommutatorTestCase(ctx[:cut], (x, y), ctx[cut:], fam_a)
-                        if verify.commutator_scale_blind(case):
-                            cases.append(case)
+    cases = [verify.CommutatorTestCase(prefix, pair, suffix, fam_a)
+             for pair in verify._RELATIONS[cfg.realization]
+             for prefix, suffix in verify._contexts(currents, args.context)]
+    cases = [case for case in cases if verify.commutator_scale_blind(case)]
     mu_rep = verify.mu_independence(cases, fam_a, fam_b)
     ok = ok and mu_rep.ok
     lines.append(f"mu-independence: {'ok' if mu_rep.ok else 'FAIL'} ({len(cases)} cases)")
@@ -295,21 +290,29 @@ def _cmd_selfcheck(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(sub: argparse.ArgumentParser, fmt: str) -> None:
+def _add_sector(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--realization", choices=("K", "A"), default="K")
     sub.add_argument("--sector", choices=("nonunitary", "unitary"), default="nonunitary")
+
+
+def _add_scheme(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--policy", choices=("drop-loops", "mu", "unitary-dotted"),
+                     default="drop-loops")
+    sub.add_argument("--mu", metavar="FILE",
+                     help='JSON loop scales, e.g. {"2": "1", "3": "1/2", "default": "0"}')
+
+
+def _add_mode_model(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--kappa", default="1", help="central parameter (rational)")
     sub.add_argument("--p", default="0", help="zero-mode eigenvalue (rational)")
     sub.add_argument("--xi", metavar="FILE", help="JSON xi-sequence config")
-    sub.add_argument("--mu", metavar="FILE",
-                     help='JSON loop scales, e.g. {"2": "1", "3": "1/2", "default": "0"}')
-    sub.add_argument("--policy", choices=("drop-loops", "mu", "unitary-dotted"),
-                     default="drop-loops")
     sub.add_argument("--trunc", type=int, default=16, help="kernel truncation")
+
+
+def _add_radius(sub: argparse.ArgumentParser) -> None:
     group = sub.add_mutually_exclusive_group()
     group.add_argument("--radius", help="uniform insertion radius (rational)")
     group.add_argument("--on-circle", action="store_true")
-    sub.add_argument("--format", choices=("json", "text", "dot"), default=fmt)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -320,35 +323,48 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("eval", help="evaluate a correlator")
     p.add_argument("word", help='current word, e.g. "Jp(1) Jm(2)"')
-    _add_common(p, "json")
+    _add_sector(p)
+    _add_scheme(p)
+    _add_radius(p)
+    p.add_argument("--format", choices=("json", "text"), default="json")
     p.set_defaults(func=_cmd_eval)
 
     p = subs.add_parser("commcheck", help="verify commutation relations")
     p.add_argument("--context", type=int, default=0, help="max spectator context")
-    _add_common(p, "json")
+    _add_sector(p)
+    _add_scheme(p)
+    p.add_argument("--format", choices=("json", "text"), default="json")
     p.set_defaults(func=_cmd_commcheck)
 
     p = subs.add_parser("diagrams", help="emit contraction diagrams as DOT")
     p.add_argument("word")
-    _add_common(p, "dot")
+    _add_sector(p)
+    p.add_argument("--format", choices=("json", "dot"), default="dot")
     p.set_defaults(func=_cmd_diagrams)
 
     p = subs.add_parser("gram", help="smeared pairing matrix of current words")
     p.add_argument("words", nargs="+")
     p.add_argument("--degree", type=int, default=1, help="Fourier test degree")
-    _add_common(p, "json")
+    _add_sector(p)
+    _add_scheme(p)
+    _add_mode_model(p)
+    p.add_argument("--format", choices=("json", "text"), default="json")
     p.set_defaults(func=_cmd_gram)
 
     p = subs.add_parser("oracle", help="mode-model value of a primitive/current word")
     p.add_argument("word", help='letters ap/am/ep/em/h/rho or currents, e.g. "ap(1) am(2)"')
     p.add_argument("--angles", help="space-separated turn fractions, one per insertion")
-    _add_common(p, "json")
+    _add_sector(p)
+    _add_mode_model(p)
+    _add_radius(p)
+    p.add_argument("--format", choices=("json", "text"), default="json")
     p.set_defaults(func=_cmd_oracle)
 
     p = subs.add_parser("selfcheck", help="run the invariant suite")
     p.add_argument("--context", type=int, default=1)
     p.add_argument("--max-len", type=int, default=3)
-    _add_common(p, "text")
+    _add_sector(p)
+    p.add_argument("--format", choices=("json", "text"), default="text")
     p.set_defaults(func=_cmd_selfcheck)
 
     return parser

@@ -29,12 +29,12 @@ from __future__ import annotations
 import itertools
 import logging
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from .algebra import SectorConfig, current_def, primitive_commutator
-from .distributions import Coeff, Expression, Term
+from .algebra import CURRENT_CHARGE, EXP_CHARGE, SectorConfig, current_def, primitive_commutator
+from .distributions import Coeff, Expression, Term, charge_vanishes, orient
 from .errors import RealizationMismatch, StructuralViolation
 
 logger = logging.getLogger(__name__)
@@ -80,7 +80,6 @@ _EXP_LETTERS = {"alpha+", "alpha-", "e+", "e-"}
 _DERIV_LETTERS = {"dalpha+": "alpha+", "dalpha-": "alpha-",
                   "de+": "e+", "de-": "e-"}
 _TERMINALS = {"alpha-dalpha+", "e-de+"}
-_CHARGE = {"alpha+": 1, "alpha-": -1, "e+": 1, "e-": -1}
 
 
 def vertex_choices(name: str, position: int, cfg: SectorConfig) -> Tuple[VertexChoice, ...]:
@@ -102,16 +101,16 @@ def vertex_choices(name: str, position: int, cfg: SectorConfig) -> Tuple[VertexC
         elif len(letters) == 1 and letters[0] in _DERIV_LETTERS:
             base = _DERIV_LETTERS[letters[0]]
             out.append(VertexChoice(position, name, coeff,
-                                    charge=_CHARGE[base], deriv=True))
+                                    charge=EXP_CHARGE[base], deriv=True))
         elif len(letters) == 2 and letters[0] == "b" and letters[1] in _EXP_LETTERS:
             out.append(VertexChoice(position, name, coeff,
-                                    charge=_CHARGE[letters[1]], stub="b"))
+                                    charge=EXP_CHARGE[letters[1]], stub="b"))
         elif len(letters) == 2 and letters[1] == "a" and letters[0] in _EXP_LETTERS:
             out.append(VertexChoice(position, name, coeff,
-                                    charge=_CHARGE[letters[0]], stub="a"))
+                                    charge=EXP_CHARGE[letters[0]], stub="a"))
         elif len(letters) == 2 and letters[0] == "rho" and letters[1] in _EXP_LETTERS:
             out.append(VertexChoice(position, name, coeff,
-                                    charge=_CHARGE[letters[1]], rho=True))
+                                    charge=EXP_CHARGE[letters[1]], rho=True))
         else:
             raise StructuralViolation(f"unclassifiable current term {letters}")
     return tuple(out)
@@ -178,19 +177,13 @@ def _rho_matchings(positions: Sequence[int]
             yield ((first, partner),) + pairs, singles
 
 
-def enumerate_diagrams(word: Sequence[str], cfg: SectorConfig,
-                       with_rho: bool = True) -> Iterator[Diagram]:
-    """All contraction diagrams of a current word.  ``with_rho=False`` leaves
-    Heisenberg insertions unmatched (used by the structural census, where
-    wavy pairs play no role)."""
+def enumerate_diagrams(word: Sequence[str], cfg: SectorConfig) -> Iterator[Diagram]:
+    """All contraction diagrams of a current word."""
     word = tuple(word)
     per_vertex = [vertex_choices(nm, k, cfg) for k, nm in enumerate(word)]
     for combo in itertools.product(*per_vertex):
         rho_pos = [c.position for c in combo if c.rho]
         for edges in _resolve_stubs(combo, cfg):
-            if not with_rho:
-                yield Diagram(word, combo, edges)
-                continue
             for pairs, singles in _rho_matchings(rho_pos):
                 yield Diagram(word, combo, edges, pairs, singles)
 
@@ -222,12 +215,6 @@ def _edge_parts(edge: Edge, choices: Sequence[VertexChoice], cfg: SectorConfig
     return out
 
 
-def _norm_ker(tag: str, k: int, i: int, j: int) -> Tuple[Tuple[str, int, int, int], int]:
-    if i <= j:
-        return (tag, k, i, j), 1
-    return (tag, k, j, i), (-1) ** k
-
-
 def _terminal_branches(unhit: Sequence[int], charges: Sequence[Tuple[int, int]],
                        realization: str) -> List[Tuple[Coeff, Tuple]]:
     """Isserlis expansion of unconsumed terminals: (coeff, kernel tokens)."""
@@ -243,10 +230,10 @@ def _terminal_branches(unhit: Sequence[int], charges: Sequence[Tuple[int, int]],
     for s, q in charges:
         if s == v:
             raise StructuralViolation("terminal and exponential at one vertex")
-        tok, flip = _norm_ker(tag, 1, v, s)
+        a, b, flip = orient(v, s, 1)
         emit = (-q if realization == "K" else q) * flip
         for c2, toks in _terminal_branches(rest, charges, realization):
-            out.append((c2.scale(emit), (tok,) + toks))
+            out.append((c2.scale(emit), ((tag, 1, a, b),) + toks))
     # a terminal with no partner and no charge to radiate against kills the
     # term, which the empty list encodes
     return out
@@ -310,11 +297,9 @@ def diagram_weight(diagram: Diagram, cfg: SectorConfig) -> List[Term]:
 def correlator_terms(word: Sequence[str], cfg: SectorConfig) -> List[Term]:
     """Raw (unrenormalized) token terms of a current correlator."""
     word = tuple(word)
-    if cfg.realization == "K":
-        charge = sum(+1 if nm == "J+" else -1 if nm == "J-" else 0 for nm in word)
-        if charge != 0:
-            logger.debug("word %s dropped by charge balance", word)
-            return []
+    if charge_vanishes(cfg.realization, (CURRENT_CHARGE.get(nm, 0) for nm in word)):
+        logger.debug("word %s dropped by charge balance", word)
+        return []
     out: List[Term] = []
     for d in enumerate_diagrams(word, cfg):
         out.extend(diagram_weight(d, cfg))

@@ -32,13 +32,13 @@ import logging
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 import sympy as sp
 
 from .errors import SingularProduct, StructuralViolation
-from .kernels import XiSequence
+from .kernels import XiSequence, mode_series
 
 logger = logging.getLogger(__name__)
 
@@ -92,9 +92,9 @@ class Coeff:
         return cls.complex_rat(1)
 
     @classmethod
-    def unit(cls, kappa=0, p=0, lam=0, xi0=0, mu: Optional[Dict[int, int]] = None,
+    def unit(cls, kappa=0, p=0, xi0=0, mu: Optional[Dict[int, int]] = None,
              re=1, im=0) -> "Coeff":
-        mono = (kappa, p, lam, xi0, tuple(sorted((mu or {}).items())))
+        mono = (kappa, p, 0, xi0, tuple(sorted((mu or {}).items())))
         re, im = Fraction(re), Fraction(im)
         if re == 0 and im == 0:
             return cls()
@@ -178,51 +178,24 @@ class Coeff:
 
 
 # ---------------------------------------------------------------------------
-# factor views (stable public shapes for single factors)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DeltaFactor:
-    """d^k/du_i^k of delta(u_i - u_j), stored with i < j."""
-
-    i: int
-    j: int
-    k: int = 0
-
-
-@dataclass(frozen=True)
-class KernelFactor:
-    """A non-delta factor: which kernel-type object, its derivative order
-    and its index arguments.  ``form`` is one of ``kernel-value`` (N_K/N_A),
-    ``heisenberg-propagator`` (the wavy mode sum W), ``D-value``,
-    ``exp-of-kernel-combination``, ``scalar-p``, ``scalar-kappa``,
-    ``scalar-mu``."""
-
-    form: str
-    tag: str = ""
-    k: int = 0
-    args: Tuple[int, ...] = ()
-    charges: Tuple[int, ...] = ()
-
-
-# ---------------------------------------------------------------------------
 # terms and expressions
 # ---------------------------------------------------------------------------
 
 
-def _norm_delta(i: int, j: int, k: int) -> Tuple[Tuple[int, int, int], int]:
-    if i == j:
-        raise StructuralViolation("delta factor with equal endpoints")
-    if i < j:
-        return (i, j, k), 1
-    return (j, i, k), (-1) ** k
-
-
-def _norm_pair(k: int, i: int, j: int) -> Tuple[Tuple[int, int, int], int]:
+def orient(i: int, j: int, k: int) -> Tuple[int, int, int]:
+    """The index-orientation rule of every two-point token: the endpoints
+    sorted, and the sign (-1)^k that swapping them costs (a k-th derivative
+    in the first angle of a function of u_i - u_j)."""
     if i <= j:
-        return (k, i, j), 1
-    return (k, j, i), (-1) ** k
+        return i, j, 1
+    return j, i, (-1) ** k
+
+
+def charge_vanishes(realization: Optional[str], charges: Iterable[int]) -> bool:
+    """K-realization charge selection: a word or term whose exponential
+    charges do not sum to zero vanishes.  The A realization has no such
+    rule."""
+    return realization == "K" and sum(charges) != 0
 
 
 @dataclass(frozen=True)
@@ -276,26 +249,28 @@ class Term:
         coeff = self.coeff
         deltas = []
         for (i, j, k) in self.deltas:
-            tok, s = _norm_delta(mapping.get(i, i), mapping.get(j, j), k)
-            deltas.append(tok)
+            a, b, s = orient(mapping.get(i, i), mapping.get(j, j), k)
+            if a == b:
+                raise StructuralViolation("delta factor with equal endpoints")
+            deltas.append((a, b, k))
             if s != 1:
                 coeff = coeff.scale(s)
         kers = []
         for (tag, k, i, j) in self.kers:
-            (k2, a, b), s = _norm_pair(k, mapping.get(i, i), mapping.get(j, j))
-            kers.append((tag, k2, a, b))
+            a, b, s = orient(mapping.get(i, i), mapping.get(j, j), k)
+            kers.append((tag, k, a, b))
             if s != 1:
                 coeff = coeff.scale(s)
         wavys = []
         for (k, i, j) in self.wavys:
-            tok, s = _norm_pair(k, mapping.get(i, i), mapping.get(j, j))
-            wavys.append(tok)
+            a, b, s = orient(mapping.get(i, i), mapping.get(j, j), k)
+            wavys.append((k, a, b))
             if s != 1:
                 coeff = coeff.scale(s)
         dots = []
         for (k, i, j) in self.dots:
-            tok, s = _norm_pair(k, mapping.get(i, i), mapping.get(j, j))
-            dots.append(tok)
+            a, b, s = orient(mapping.get(i, i), mapping.get(j, j), k)
+            dots.append((k, a, b))
             if s != 1:
                 coeff = coeff.scale(s)
         exps = tuple(sorted((mapping.get(p, p), c) for (p, c) in self.exps))
@@ -304,28 +279,12 @@ class Term:
                     tuple(sorted(wavys)), tuple(sorted(dots)), exps, dmarks,
                     self.singular)
 
-    # -- factor views ---------------------------------------------------
-
-    def delta_factors(self) -> List[DeltaFactor]:
-        return [DeltaFactor(i, j, k) for (i, j, k) in self.deltas]
-
-    def kernel_factors(self) -> List[KernelFactor]:
-        out = [KernelFactor("kernel-value", tag=t, k=k, args=(i, j)) for (t, k, i, j) in self.kers]
-        out += [KernelFactor("heisenberg-propagator", k=k, args=(i, j)) for (k, i, j) in self.wavys]
-        out += [KernelFactor("D-value", k=k, args=(i, j)) for (k, i, j) in self.dots]
-        if self.exps:
-            out.append(KernelFactor("exp-of-kernel-combination",
-                                    args=tuple(p for p, _ in self.exps),
-                                    charges=tuple(c for _, c in self.exps)))
-        for (ek, ep, _el, _ex, mus), _v in self.coeff.d.items():
-            if ep:
-                out.append(KernelFactor("scalar-p", k=ep))
-            if ek:
-                out.append(KernelFactor("scalar-kappa", k=ek))
-            for mk, me in mus:
-                out.append(KernelFactor("scalar-mu", k=me, args=(mk,)))
-            break
-        return out
+    def smooth_factors(self) -> List[Tuple[str, int, int, int]]:
+        """(family, k, i, j) of every kernel, wavy and dotted factor, named
+        by its mode-series family (:func:`loopcorr.kernels.mode_series`)."""
+        return ([(tag, k, i, j) for (tag, k, i, j) in self.kers]
+                + [("wavy", k, i, j) for (k, i, j) in self.wavys]
+                + [("D", k, i, j) for (k, i, j) in self.dots])
 
 
 @dataclass
@@ -490,9 +449,9 @@ def d_du(term: Term, idx: int, realization: Optional[str]) -> List[Term]:
             for (ps, cs) in term.exps:
                 if ps == idx:
                     continue  # same-point cross term is angle-independent
-                (k2, a, b), flip = _norm_pair(1, idx, ps)
+                a, b, flip = orient(idx, ps, 1)
                 coeff = term.coeff.scale(outer * ce * cs * flip)
-                kers = tuple(sorted(term.kers + ((tag, k2, a, b),)))
+                kers = tuple(sorted(term.kers + ((tag, 1, a, b),)))
                 out.append(replace(term, coeff=coeff, kers=kers))
 
     return out
@@ -503,7 +462,9 @@ def d_du(term: Term, idx: int, realization: Optional[str]) -> List[Term]:
 # ---------------------------------------------------------------------------
 
 
-class _UF:
+class UnionFind:
+    """Disjoint sets of indices; the smallest index of a set is its root."""
+
     def __init__(self):
         self.p: Dict[int, int] = {}
 
@@ -531,7 +492,7 @@ def detect_singular(expr: Expression) -> List[dict]:
     is a well-defined distribution."""
     reports = []
     for n, t in enumerate(expr.terms):
-        uf = _UF()
+        uf = UnionFind()
         seen_pairs = set()
         for (i, j, k) in t.deltas:
             if not (expr.on_circle(i) and expr.on_circle(j)):
@@ -583,14 +544,13 @@ def _pass_once(terms: List[Term], on_circle, realization, allow_singular) -> Lis
             base = replace(t, dmarks=t.dmarks[1:])
             work.extend(d_du(base, idx, realization))
             continue
-        # K-realization charge balance: unbalanced exponentials vanish
-        if realization == "K" and t.exps and sum(c for _, c in t.exps) != 0:
+        if t.exps and charge_vanishes(realization, (c for _, c in t.exps)):
             continue
         if t.singular:
             out.append(t.sorted())
             continue
         # singular scan over the on-circle delta multigraph
-        uf = _UF()
+        uf = UnionFind()
         singular = False
         for (i, j, _k) in t.deltas:
             if on_circle(i) and on_circle(j):
@@ -642,7 +602,7 @@ def _collapse_plain(t: Term, on_circle) -> Optional[Term]:
     plain = [tok for tok in t.deltas if tok[2] == 0 and on_circle(tok[0]) and on_circle(tok[1])]
     if not plain:
         return None
-    uf = _UF()
+    uf = UnionFind()
     for (i, j, _k) in plain:
         uf.union(i, j)
     mapping = {x: uf.find(x) for x in list(uf.p) if uf.find(x) != x}
@@ -831,40 +791,6 @@ def _move_leaf(term: Term, x: int, p: int, realization) -> List[Term]:
 # ---------------------------------------------------------------------------
 
 
-def _pair_series_grid(c_fn: Callable[[int], float], k: int, w: np.ndarray,
-                      trunc: int) -> np.ndarray:
-    """sum_{n=1}^{trunc} c(n) [ (i n)^k w^n + (-i n)^k conj(w)^n ] on a grid."""
-    total = np.zeros_like(w, dtype=complex)
-    wn = np.ones_like(w, dtype=complex)
-    for n in range(1, trunc + 1):
-        wn = wn * w
-        total += c_fn(n) * ((1j * n) ** k * wn + (-1j * n) ** k * np.conj(wn))
-    return total
-
-
-def _self_const(c_fn: Callable[[int], float], k: int, r2: float, trunc: int,
-                extra0: float = 0.0) -> float:
-    """Value of a pair series at coincident points (angle-independent)."""
-    if k % 2 == 1:
-        return 0.0
-    total = extra0
-    for n in range(1, trunc + 1):
-        total += c_fn(n) * 2.0 * ((1j * n) ** k).real * r2**n
-    return total
-
-
-def _token_c_fn(kind: str, tag: str, seq: XiSequence):
-    if kind == "ker":
-        return lambda n: float(seq.xi_value(n))
-    if kind == "wavy":
-        return lambda n: float(n)
-    if kind == "dot":
-        return lambda n: float(seq.xi_inv_value(n))
-    if kind == "deltareg":
-        return lambda n: 1.0
-    raise AssertionError(kind)
-
-
 def _modes_conv(a: Dict[int, complex], b: Dict[int, complex]) -> Dict[int, complex]:
     out: Dict[int, complex] = {}
     for m1, c1 in a.items():
@@ -881,7 +807,7 @@ def _modes_deriv(f: Dict[int, complex], k: int) -> Dict[int, complex]:
 
 
 def smear(expr: Expression, tests: Dict[int, Dict[int, complex]], seq: XiSequence,
-          *, kappa=1.0, p=0.0, lam=1.0, mu: Optional[Dict[int, float]] = None,
+          *, kappa=1.0, p=0.0, mu: Optional[Dict[int, float]] = None,
           trunc: int = 32, grid: int = 48) -> complex:
     """Pair the expression against a tensor product of Fourier-polynomial
     test functions (one mode dict per index, normalized pairing
@@ -904,8 +830,7 @@ def smear(expr: Expression, tests: Dict[int, Dict[int, complex]], seq: XiSequenc
     for t in e.terms:
         if t.dmarks:
             raise AssertionError("derivative markers must be expanded by canonicalize")
-        scalar = t.coeff.subs_numeric(kappa=kappa, p=p, lam=lam,
-                                      xi0=float(seq.xi0), mu=mu)
+        scalar = t.coeff.subs_numeric(kappa=kappa, p=p, xi0=float(seq.xi0), mu=mu)
         if scalar == 0:
             continue
         # split deltas into on-circle stars and analytic (inside-disc) ones
@@ -927,30 +852,16 @@ def smear(expr: Expression, tests: Dict[int, Dict[int, complex]], seq: XiSequenc
         for x, (root, k) in members.items():
             g[root] = _modes_conv(g[root], _modes_deriv(tests[x], k))
 
-        # collect analytic factors over the remaining variables
-        factors = []  # (kind, tag, k, i, j)
+        # collect analytic factors over the remaining variables; a factor at
+        # coincident points is the angle-independent series at x = y = r^2
+        factors = [("delta", k, i, j) for (i, j, k) in analytic_deltas]
         const = 1.0 + 0.0j
-        for (i, j, k) in analytic_deltas:
-            factors.append(("deltareg", "", k, i, j))
-        for (tag, k, i, j) in t.kers:
+        for (family, k, i, j) in t.smooth_factors():
             if i == j:
                 r2 = float(e.radius(i)) ** 2
-                const *= _self_const(_token_c_fn("ker", tag, seq), k, r2, trunc,
-                                     extra0=(2.0 * float(seq.xi0) if tag == "NA" and k == 0 else 0.0))
+                const *= mode_series(r2, r2, k, family, seq, trunc)
             else:
-                factors.append(("ker", tag, k, i, j))
-        for (k, i, j) in t.wavys:
-            if i == j:
-                const *= _self_const(_token_c_fn("wavy", "", seq), k,
-                                     float(e.radius(i)) ** 2, trunc)
-            else:
-                factors.append(("wavy", "", k, i, j))
-        for (k, i, j) in t.dots:
-            if i == j:
-                const *= _self_const(_token_c_fn("dot", "", seq), k,
-                                     float(e.radius(i)) ** 2, trunc)
-            else:
-                factors.append(("dot", "", k, i, j))
+                factors.append((family, k, i, j))
         if const == 0:
             continue
 
@@ -991,36 +902,23 @@ def _grid_integral(e: Expression, t: Term, g, factors, variables,
         rr = float(e.radius(i)) * float(e.radius(j))
         return rr * np.exp(1j * (var_grid(i) - var_grid(j)))
 
-    for (kind, tag, k, i, j) in factors:
+    for (family, k, i, j) in factors:
         w = pair_w(i, j)
-        val = _pair_series_grid(_token_c_fn(kind, tag, seq), k, w, trunc)
-        if kind == "deltareg":
-            # delta_reg has the extra n = 0 term (z1 conj(z2))^0 = 1
-            val = val + (1.0 if k == 0 else 0.0)
-        if kind == "ker" and tag == "NA" and k == 0:
-            val = val + 2.0 * float(seq.xi0)
-        integrand = integrand * val
+        integrand = integrand * mode_series(w, np.conj(w), k, family, seq, trunc)
 
     if t.exps:
         tag = "NK" if e.realization == "K" else "NA"
         sign = -1.0 if e.realization == "K" else 1.0
-        if e.realization == "K" and sum(c for _, c in t.exps) != 0:
-            return 0.0 + 0.0j
-        c_fn = _token_c_fn("ker", tag, seq)
         expo = np.zeros((1,) * m, dtype=complex)
         entries = list(t.exps)
         for a in range(len(entries)):
             pa, qa = entries[a]
             r2 = float(e.radius(pa)) ** 2
-            expo = expo + 0.5 * qa * qa * _self_const(
-                c_fn, 0, r2, trunc, extra0=(2.0 * float(seq.xi0) if tag == "NA" else 0.0))
+            expo = expo + 0.5 * qa * qa * mode_series(r2, r2, 0, tag, seq, trunc)
             for b in range(a + 1, len(entries)):
                 pb, qb = entries[b]
                 w = pair_w(pa, pb)
-                nval = _pair_series_grid(c_fn, 0, w, trunc)
-                if tag == "NA":
-                    nval = nval + 2.0 * float(seq.xi0)
-                expo = expo + qa * qb * nval
+                expo = expo + qa * qb * mode_series(w, np.conj(w), 0, tag, seq, trunc)
         integrand = integrand * np.exp(sign * expo)
 
     return complex(integrand.mean())

@@ -70,7 +70,6 @@ class KernelId(enum.Enum):
     NA = "NA"
     NK = "NK"
     D = "D"
-    HEISENBERG_PAIR = "HeisenbergPair"
 
 
 @dataclass(frozen=True)
@@ -215,9 +214,55 @@ class XiSequence:
         return self.kind != "power-law" or self._s_int()
 
 
-def xi_eval(seq: XiSequence, n: int):
-    """The sequence member xi_|n| (exact Fraction where possible)."""
-    return seq.xi_value(n)
+def _exact_number(v):
+    if isinstance(v, float):
+        raise ValueError("irrational mode coefficient in exact arithmetic")
+    return sp.Rational(v.numerator, v.denominator)
+
+
+def mode_series(x, y, k: int, family: str, seq: Optional[XiSequence], N: int,
+                exact: bool = False):
+    """The truncated mode series
+
+        c0 [k = 0] + sum_{n=1..N} c(n) [ (i n)^k x^n + (-i n)^k y^n ]
+
+    of a coefficient family.  For a pair of points, x = z1 conj(z2),
+    y = conj(z1) z2, and k counts the angle derivatives in the first point.
+
+    ==========  ==========  ==========
+    family      c(n)        c0
+    ==========  ==========  ==========
+    ``NK``      xi_n        0
+    ``NA``      xi_n        2 xi_0
+    ``D``       1 / xi_n    0
+    ``wavy``    n           0
+    ``delta``   1           1
+    ==========  ==========  ==========
+
+    ``delta`` is the regulated delta sum_{n>=0} x^n + sum_{n>=1} y^n.
+    ``x`` and ``y`` may be complex scalars, numpy grids or sympy
+    expressions; with ``exact`` the unit i and the coefficients are exact
+    sympy numbers too, otherwise floats.
+    """
+    if family == "delta":
+        c, c0 = (lambda n: 1), 1
+    elif family == "wavy":
+        c, c0 = (lambda n: n), 0
+    elif family == "D":
+        c, c0 = seq.xi_inv_value, 0
+    elif family in ("NK", "NA"):
+        c, c0 = seq.xi_value, (2 * seq.xi0 if family == "NA" else 0)
+    else:
+        raise ValueError(f"unknown mode-series family {family!r}")
+    num = _exact_number if exact else float
+    i = sp.I if exact else 1j
+    total = num(c0 if k == 0 else 0)
+    xp = yp = 1
+    for n in range(1, N + 1):
+        xp = xp * x
+        yp = yp * y
+        total = total + num(c(n)) * ((i * n) ** k * xp + (-i * n) ** k * yp)
+    return total
 
 
 @dataclass
@@ -329,21 +374,16 @@ def kernel_eval(
     p1: CirclePoint,
     p2: CirclePoint,
     trunc: int = 64,
-    kappa=1,
-    p=0,
 ) -> KernelValue:
     """Evaluate a kernel at two points, truncating the mode sum at ``trunc``.
 
     Requires |z| <= 1 for both points.  For ``KernelId.D`` the radii must
     put the series inside its domain of convergence, otherwise
-    :class:`DivergentKernel` is raised.  ``kappa``/``p`` only matter for
-    ``HEISENBERG_PAIR``.
+    :class:`DivergentKernel` is raised.
     """
     for pt in (p1, p2):
         if not (0 <= float(pt.r) <= 1):
             raise ValueError(f"radius {pt.r} outside [0, 1]")
-    if kid == KernelId.HEISENBERG_PAIR:
-        return heisenberg_pair(p1, p2, kappa, p, trunc)
 
     rho = float(p1.r) * float(p2.r)
     exact = seq.exact and p1.exact and p2.exact
@@ -353,26 +393,13 @@ def kernel_eval(
             f"D-kernel series diverges at radius product {rho} for a {seq.kind} sequence"
         )
 
+    # the two halves of the series are conjugate: the sum is real
     if exact:
-        # w^n + conj(w)^n = 2 rho^n cos(2 pi n dt): keep everything real
-        rho_e = sp.nsimplify(p1.r) * sp.nsimplify(p2.r)
-        dt = sp.nsimplify(p1.t) - sp.nsimplify(p2.t)
-        total = sp.Integer(0)
-        for n in range(1, trunc + 1):
-            c = seq.xi(n) if kid != KernelId.D else Fraction(1) / seq.xi(n)
-            total += sp.nsimplify(c) * 2 * rho_e**n * sp.cos(2 * sp.pi * n * dt)
-        if kid == KernelId.NA:
-            total += 2 * sp.nsimplify(seq.xi0)
-        value = sp.simplify(total)
+        w, wbar = _pair_powers_exact(p1, p2)
+        value = sp.simplify(sp.re(mode_series(w, wbar, 0, kid.value, seq, trunc, exact=True)))
     else:
         w = p1.to_complex() * p2.to_complex().conjugate()
-        total = 0.0 + 0.0j
-        for n in range(1, trunc + 1):
-            c = float(seq.xi_value(n)) if kid != KernelId.D else float(seq.xi_inv_value(n))
-            total += c * (w**n + (w.conjugate()) ** n)
-        value = total.real  # the pairs are conjugate: the sum is real
-        if kid == KernelId.NA:
-            value += 2.0 * float(seq.xi0)
+        value = mode_series(w, w.conjugate(), 0, kid.value, seq, trunc).real
 
     tail = _n_kernel_tail(seq, rho, trunc) if kid != KernelId.D else _d_tail(seq, rho, trunc)
 
@@ -416,12 +443,12 @@ def heisenberg_pair(p1: CirclePoint, p2: CirclePoint, kappa, p, trunc: int = 64)
     if exact:
         _, x = _pair_powers_exact(p1, p2)  # conj(z1) z2
         k = sp.nsimplify(kappa)
-        total = sp.nsimplify(p) ** 2 + 2 * k * sum(n * x**n for n in range(1, trunc + 1))
+        total = sp.nsimplify(p) ** 2 + 2 * k * mode_series(x, 0, 0, "wavy", None, trunc, exact=True)
         value = sp.simplify(total)
         closed = sp.simplify(sp.nsimplify(p) ** 2 + 2 * k * x / (1 - x) ** 2) if rho <= 1 else None
     else:
         x = p1.to_complex().conjugate() * p2.to_complex()
-        value = complex(p) ** 2 + 2 * complex(kappa) * sum(n * x**n for n in range(1, trunc + 1))
+        value = complex(p) ** 2 + 2 * complex(kappa) * mode_series(x, 0, 0, "wavy", None, trunc)
         closed = complex(p) ** 2 + 2 * complex(kappa) * x / (1 - x) ** 2 if rho <= 1 else None
 
     if rho < 1:

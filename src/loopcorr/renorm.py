@@ -26,9 +26,9 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .algebra import SectorConfig
+from .algebra import CURRENT_CHARGE, SectorConfig
 from .diagrams import Diagram, diagram_weight, enumerate_diagrams, loop_components
-from .distributions import Coeff, Expression, Term, canonicalize
+from .distributions import Coeff, Expression, Term, UnionFind, canonicalize, charge_vanishes
 from .errors import MissingMu, StructuralViolation
 
 logger = logging.getLogger(__name__)
@@ -175,33 +175,18 @@ def dotted_filter(diagram: Diagram, rule: str = "both-sides") -> bool:
     dotted = [e for e in diagram.edges if e.kind == "dot"]
     if not dotted:
         return True
-    parent: Dict[int, int] = {}
-
-    def find(v):
-        parent.setdefault(v, v)
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    def union(v, w):
-        parent[find(v)] = find(w)
-
-    for ch in diagram.choices:
-        find(ch.position)
+    uf = UnionFind()
     for e in diagram.edges:
         if e.kind != "dot":
-            union(e.source, e.target)
-
-    charge_of = {ch.position: (ch.charge or 0) for ch in diagram.choices}
+            uf.union(e.source, e.target)
     side_sum: Dict[int, int] = {}
-    for pos, q in charge_of.items():
-        root = find(pos)
-        side_sum[root] = side_sum.get(root, 0) + q
+    for ch in diagram.choices:
+        root = uf.find(ch.position)
+        side_sum[root] = side_sum.get(root, 0) + (ch.charge or 0)
 
     for e in dotted:
-        bal_src = side_sum.get(find(e.source), 0) == 0
-        bal_dst = side_sum.get(find(e.target), 0) == 0
+        bal_src = side_sum[uf.find(e.source)] == 0
+        bal_dst = side_sum[uf.find(e.target)] == 0
         keep = (bal_src and bal_dst) if rule == "both-sides" else (bal_src or bal_dst)
         if not keep:
             return False
@@ -213,13 +198,25 @@ def dotted_filter(diagram: Diagram, rule: str = "both-sides") -> bool:
 # ---------------------------------------------------------------------------
 
 
+class _ReadOnlyTerms(list):
+    """The term list of a cached correlator.  It refuses every change, so no
+    caller can alter what later callers get, and still compares equal to a
+    plain list of the same terms."""
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("the terms of a cached correlator are read-only")
+
+    append = extend = insert = remove = pop = clear = sort = reverse = _refuse
+    __setitem__ = __delitem__ = __iadd__ = __imul__ = _refuse
+
+
 _CACHE: Dict[Tuple[CurrentWord, RenormScheme], Expression] = {}
 
 
 def evaluate_correlator(word: CurrentWord, scheme: RenormScheme) -> Expression:
     """Renormalized correlator of a current word: enumerate contractions,
     filter dotted edges (dotted scheme), substitute loops, canonicalize.
-    Results are cached per (word, scheme); treat them as immutable."""
+    Results are cached per (word, scheme); their term lists are read-only."""
     key = (word, scheme)
     if key in _CACHE:
         return _CACHE[key]
@@ -228,9 +225,7 @@ def evaluate_correlator(word: CurrentWord, scheme: RenormScheme) -> Expression:
     if scheme.policy == "unitary-dotted":
         logger.info("dotted filter active, rule=%s", scheme.dotted_rule)
     terms: List[Term] = []
-    if cfg.realization == "K" and sum(
-            +1 if nm == "J+" else -1 if nm == "J-" else 0
-            for nm in word.names) != 0:
+    if charge_vanishes(cfg.realization, (CURRENT_CHARGE.get(nm, 0) for nm in word.names)):
         logger.debug("word %s vanishes by charge balance", word.names)
     else:
         for d in enumerate_diagrams(word.names, cfg):
@@ -238,5 +233,6 @@ def evaluate_correlator(word: CurrentWord, scheme: RenormScheme) -> Expression:
                 continue
             terms.extend(renormalize_diagram(d, cfg, scheme))
     expr = canonicalize(Expression(terms, cfg.realization, radii))
+    expr.terms = _ReadOnlyTerms(expr.terms)
     _CACHE[key] = expr
     return expr

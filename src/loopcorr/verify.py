@@ -36,25 +36,25 @@ import sympy as sp
 
 from .algebra import (
     A_LETTERS,
+    CURRENT_CHARGE,
     CURRENT_STAR,
     CURRENTS_A,
     CURRENTS_K,
     K_LETTERS,
     SectorConfig,
-    current_def,
     expand_current,
 )
 from .distributions import (
     Coeff,
     Expression,
-    Term,
     canonicalize,
+    charge_vanishes,
     conjugate,
     d_du,
     smear,
 )
 from .errors import RealizationMismatch, SingularProduct
-from .kernels import CirclePoint, XiSequence
+from .kernels import CirclePoint, XiSequence, mode_series
 from .renorm import CurrentWord, RenormScheme, evaluate_correlator
 
 logger = logging.getLogger(__name__)
@@ -114,49 +114,10 @@ def _coeff_value(c: Coeff, kappa, p, xi0, mu, exact: bool):
     return expr.subs(subs, simultaneous=True)
 
 
-def _pair_series(z, w, k: int, c_fn, N: int, exact: bool, with_zero=False):
-    """sum_{n=1..N} c(n) [(i n)^k (z wbar)^n + (-i n)^k (zbar w)^n],
-    plus the n = 0 term c(0) when ``with_zero`` (only meaningful at k = 0)."""
-    i = _imag_unit(exact)
-    x = z * _conj(w, exact)
-    y = _conj(z, exact) * w
-    total = c_fn(0) if (with_zero and k == 0) else (sp.Integer(0) if exact else 0j)
-    xp = x ** 0
-    yp = y ** 0
-    for n in range(1, N + 1):
-        xp = xp * x
-        yp = yp * y
-        total = total + c_fn(n) * ((i * n) ** k * xp + (-i * n) ** k * yp)
-    return total
-
-
-def _delta_n(z, w, N: int, exact: bool, k: int = 0):
-    """(d/du_z)^k of the regulated delta  sum_{n>=0} (z wbar)^n
-    + sum_{n>=1} (zbar w)^n."""
-    one = sp.Integer(1) if exact else 1.0
-    return _pair_series(z, w, k, lambda n: one, N, exact, with_zero=True)
-
-
-def _ddelta_w(z, w, N: int, exact: bool):
-    """Angle derivative of the regulated delta in its *second* argument."""
-    i = _imag_unit(exact)
-    x = z * _conj(w, exact)
-    y = _conj(z, exact) * w
-    total = sp.Integer(0) if exact else 0j
-    for n in range(1, N + 1):
-        total = total + i * n * (y ** n - x ** n)
-    return total
-
-
-def _dotted_n(z, w, N: int, seq: XiSequence, exact: bool):
-    return _pair_series(z, w, 0, lambda n: 1 / _xi(seq, n, exact) if n else 0,
-                        N, exact)
-
-
-def _n_kernel_n(z, w, N: int, seq: XiSequence, realization: str, exact: bool):
-    zero = 2 * _xi0(seq, exact) if realization == "A" else (sp.Integer(0) if exact else 0.0)
-    return _pair_series(z, w, 0, lambda n: _xi(seq, n, exact) if n else zero,
-                        N, exact, with_zero=True)
+def _pair_series(z, w, k: int, family: str, seq: Optional[XiSequence], N: int,
+                 exact: bool):
+    """The mode series of a family at the point pair (z, w)."""
+    return mode_series(z * _conj(w, exact), _conj(z, exact) * w, k, family, seq, N, exact)
 
 
 # ---------------------------------------------------------------------------
@@ -204,23 +165,17 @@ def _factor_pairings(factors, gamma_total, seq, include_zero, exact):
     return total
 
 
-def _rho_cov(zi, zj, N, kappa, realization, exact):
-    x = zi * _conj(zj, exact) if realization == "K" else _conj(zi, exact) * zj
-    total = sp.Integer(0) if exact else 0j
-    xp = x ** 0
-    for n in range(1, N + 1):
-        xp = xp * x
-        total = total + n * xp
-    return 2 * kappa * total
-
-
 def _rho_pairings(zs, N, kappa, p, realization, exact):
+    """Isserlis over rho insertions: mean p, and each pair 2 kappa sum n x^n
+    with x = zi conj(zj) (K) or conj(zi) zj (A)."""
     if not zs:
         return sp.Integer(1) if exact else (1 + 0j)
     first, rest = zs[0], zs[1:]
     total = p * _rho_pairings(rest, N, kappa, p, realization, exact)
     for idx in range(len(rest)):
-        total = total + _rho_cov(first, rest[idx], N, kappa, realization, exact) * \
+        zj = rest[idx]
+        x = first * _conj(zj, exact) if realization == "K" else _conj(first, exact) * zj
+        total = total + 2 * kappa * mode_series(x, 0, 0, "wavy", None, N, exact) * \
             _rho_pairings(rest[:idx] + rest[idx + 1:], N, kappa, p, realization, exact)
     return total
 
@@ -319,11 +274,17 @@ def _comm_value(right: str, z_ab, z_r, cfg: SectorConfig, seq: XiSequence,
     multiplication letter.  Only the a/b crossing distinguishes them.
     """
     i = _imag_unit(exact)
+
+    def delta(k):
+        # k-th derivative of the regulated delta in the a/b angle; the
+        # derivative in the other angle is minus the k = 1 series
+        return _pair_series(z_ab, z_r, k, "delta", None, N, exact)
+
     if right in ("a", "b"):
         if right == left or not cfg.unitary:
             return []
         sign = 1 if left == "a" else -1
-        val = _dotted_n(z_ab, z_r, N, seq, exact)
+        val = _pair_series(z_ab, z_r, 0, "D", seq, N, exact)
         if cfg.realization == "A":
             val = val + 1 / (2 * _xi0(seq, exact))
         return [(sign * val, ())]
@@ -331,24 +292,22 @@ def _comm_value(right: str, z_ab, z_r, cfg: SectorConfig, seq: XiSequence,
         return []
     if right in ("alpha+", "alpha-"):
         eps = _BASE_CHARGE[right]
-        return [(-eps * _delta_n(z_ab, z_r, N, exact), (right,))]
+        return [(-eps * delta(0), (right,))]
     if right in ("e+", "e-"):
         sig = _BASE_CHARGE[right]
-        return [(i * sig * _delta_n(z_ab, z_r, N, exact), (right,))]
+        return [(i * sig * delta(0), (right,))]
     if right in ("dalpha+", "dalpha-"):
         eps = _BASE_CHARGE[right]
         base = "alpha+" if eps > 0 else "alpha-"
-        return [(-eps * _ddelta_w(z_ab, z_r, N, exact), (base,)),
-                (-eps * _delta_n(z_ab, z_r, N, exact), (right,))]
+        return [(eps * delta(1), (base,)), (-eps * delta(0), (right,))]
     if right in ("de+", "de-"):
         sig = _BASE_CHARGE[right]
         base = "e+" if sig > 0 else "e-"
-        return [(i * sig * _ddelta_w(z_ab, z_r, N, exact), (base,)),
-                (i * sig * _delta_n(z_ab, z_r, N, exact), (right,))]
+        return [(-i * sig * delta(1), (base,)), (i * sig * delta(0), (right,))]
     if right == "alpha-dalpha+":
-        return [(-_ddelta_w(z_ab, z_r, N, exact), ())]
+        return [(delta(1), ())]
     if right == "e-de+":
-        return [(i * _ddelta_w(z_ab, z_r, N, exact), ())]
+        return [(-i * delta(1), ())]
     raise ValueError(f"unknown letter {right!r}")
 
 
@@ -484,36 +443,26 @@ def expression_value(expr: Expression, points: Mapping[int, CirclePoint],
         if t.singular:
             raise SingularProduct("cannot evaluate a singular term pointwise")
         v = _coeff_value(t.coeff, kappa, p, xi0, mu, exact)
-        for (i, j, k) in t.deltas:
+        factors = [("delta", k, i, j) for (i, j, k) in t.deltas] + t.smooth_factors()
+        for (family, k, i, j) in factors:
             z, w = _pt_value(points[i], exact), _pt_value(points[j], exact)
-            v = v * _delta_n(z, w, trunc, exact, k)
-        for (tag, k, i, j) in t.kers:
-            z, w = _pt_value(points[i], exact), _pt_value(points[j], exact)
-            zero_c = 2 * xi0 if tag == "NA" else (sp.Integer(0) if exact else 0.0)
-            v = v * _pair_series(z, w, k, lambda n, zc=zero_c: _xi(seq, n, exact) if n else zc,
-                                 trunc, exact, with_zero=True)
-        for (k, i, j) in t.wavys:
-            z, w = _pt_value(points[i], exact), _pt_value(points[j], exact)
-            v = v * _pair_series(z, w, k, lambda n: n, trunc, exact)
-        for (k, i, j) in t.dots:
-            z, w = _pt_value(points[i], exact), _pt_value(points[j], exact)
-            v = v * _pair_series(z, w, k, lambda n: 1 / _xi(seq, n, exact) if n else 0,
-                                 trunc, exact)
+            v = v * _pair_series(z, w, k, family, seq, trunc, exact)
         if t.exps:
-            if realization == "K" and sum(q for _, q in t.exps) != 0:
+            if charge_vanishes(realization, (q for _, q in t.exps)):
                 continue
             arg = sp.Integer(0) if exact else 0j
             sgn = -1 if realization == "K" else 1
+            tag = "NK" if realization == "K" else "NA"
             entries = list(t.exps)
             for a in range(len(entries)):
                 pa, qa = entries[a]
                 za = _pt_value(points[pa], exact)
-                na = _n_kernel_n(za, za, trunc, seq, realization, exact)
+                na = _pair_series(za, za, 0, tag, seq, trunc, exact)
                 arg = arg + sgn * qa * qa * na / 2
                 for bidx in range(a + 1, len(entries)):
                     pb, qb = entries[bidx]
                     zb = _pt_value(points[pb], exact)
-                    nab = _n_kernel_n(za, zb, trunc, seq, realization, exact)
+                    nab = _pair_series(za, zb, 0, tag, seq, trunc, exact)
                     arg = arg + sgn * qa * qb * nab
             v = v * _exp(arg, exact)
         total = total + v
@@ -691,9 +640,6 @@ def check_hermiticity(word: CurrentWord, scheme: RenormScheme) -> Expression:
     return canonicalize(lhs - conjugate(relabeled).scale(sign))
 
 
-_CHARGED = {"K": {"J+": 1, "J-": -1}, "A": {"E": 1, "F": -1}}
-
-
 def _word_scale_sensitive(names: Tuple[str, ...], realization: str) -> bool:
     """Whether the renormalized correlator of the word retains any loop
     scale on the circle.  Cycles need two charged currents; an unbalanced
@@ -704,11 +650,10 @@ def _word_scale_sensitive(names: Tuple[str, ...], realization: str) -> bool:
     the charges couples through one a- and one b-edge with matching signs,
     so the remnant survives.  Same-sign pairs keep their exponential after
     collapse and nothing cancels."""
-    charges = _CHARGED[realization]
-    ch = [(k, charges[nm]) for k, nm in enumerate(names) if nm in charges]
+    ch = [(k, CURRENT_CHARGE[nm]) for k, nm in enumerate(names) if nm in CURRENT_CHARGE]
     if len(ch) < 2:
         return False
-    if realization == "K" and sum(q for _, q in ch) != 0:
+    if charge_vanishes(realization, (q for _, q in ch)):
         return False
     if len(ch) > 2:
         return True
@@ -793,7 +738,7 @@ class GramReport:
 
 def gram_matrix(entries: Sequence[Tuple[Sequence[str], Sequence[Mapping[int, complex]]]],
                 scheme: RenormScheme, seq: XiSequence, *,
-                kappa=1.0, p=0.0, lam=1.0, mu=None, trunc: int = 32,
+                kappa=1.0, p=0.0, mu=None, trunc: int = 32,
                 grid: int = 48, tol: float = 1e-9) -> GramReport:
     """Pairing matrix G[i][j] = <w_i v, w_j v> over smeared current words.
 
@@ -814,8 +759,7 @@ def gram_matrix(entries: Sequence[Tuple[Sequence[str], Sequence[Mapping[int, com
             names = star_i + tuple(wj)
             expr = evaluate_correlator(CurrentWord.from_names(names), scheme)
             tests = {k: t for k, t in enumerate(tests_i + list(fj))}
-            val = smear(expr, tests, seq, kappa=kappa, p=p, lam=lam, mu=mu,
-                        trunc=trunc, grid=grid)
+            val = smear(expr, tests, seq, kappa=kappa, p=p, mu=mu, trunc=trunc, grid=grid)
             G[i, j] = sign_i * val
     residual = float(abs(G - G.conj().T).max()) if nb else 0.0
     sym = (G + G.conj().T) / 2

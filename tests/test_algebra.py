@@ -56,9 +56,6 @@ def test_sector_config_validation():
         SectorConfig(realization="B")
     with pytest.raises(ValueError):
         SectorConfig(sector="mixed")
-    with pytest.raises(ValueError):
-        SectorConfig(kappa=-1)
-    SectorConfig(kappa=sp.Symbol("kappa", positive=True))  # symbolic is fine
 
 
 def test_commutator_a_with_alpha():

@@ -1,11 +1,16 @@
 """End-to-end command-line tests: parsing diagnostics, exit codes, output
 formats, and determinism of the JSON emitters."""
 
+import argparse
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from loopcorr.cli import main, parse_current_word, parse_word, render_word
+import loopcorr
+from loopcorr.cli import build_parser, main, parse_current_word, parse_word, render_word
 from loopcorr.errors import ParseError, RealizationMismatch
 
 
@@ -157,3 +162,59 @@ def test_missing_loop_scales_reported(capsys):
     assert main(["eval", "Jp(1) Jm(2)", "--policy", "mu"]) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "MissingMu"
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "Jp(1) Jm(2)", "--kappa", "5"],
+    ["eval", "Jp(1) Jm(2)", "--format", "dot"],
+    ["selfcheck", "--trunc", "3"],
+])
+def test_flags_a_subcommand_does_not_read_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert argv[-2] in capsys.readouterr().err
+
+
+class _ReadRecorder(argparse.Namespace):
+    """A namespace that remembers which attributes were read."""
+
+    def __getattribute__(self, name):
+        if not name.startswith("_"):
+            object.__getattribute__(self, "__dict__").setdefault("_read", set()).add(name)
+        return object.__getattribute__(self, name)
+
+
+_SMALL_INPUTS = {
+    "eval": ["Jp(1) Jm(2)"],
+    "commcheck": ["--context", "0"],
+    "diagrams": ["J3(1) J3(2)"],
+    "gram": ["J3(1)", "--trunc", "4"],
+    "oracle": ["ap(1) am(2)", "--trunc", "4"],
+    "selfcheck": ["--context", "0", "--max-len", "1"],
+}
+
+
+def test_every_accepted_flag_is_read():
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction)).choices
+    assert set(subparsers) == set(_SMALL_INPUTS)
+    for name, sub in subparsers.items():
+        args = parser.parse_args([name] + _SMALL_INPUTS[name], namespace=_ReadRecorder())
+        args.__dict__.pop("_read", None)  # argparse itself reads every dest
+        assert args.func(args) == 0, name
+        accepted = {a.dest for a in sub._actions if a.dest != "help"}
+        unread = accepted - args.__dict__.get("_read", set())
+        assert not unread, f"{name} ignores {sorted(unread)}"
+
+
+def test_module_entry_point_runs_without_warnings():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(loopcorr.__file__)))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "loopcorr.cli",
+                           "eval", "Jp(1) Jm(2)"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["word"] == "Jp(1) Jm(2)"
+    assert proc.stderr == ""

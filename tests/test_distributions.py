@@ -287,14 +287,3 @@ def test_json_round_trip():
     assert back.terms == e.terms
     assert back.realization == "A"
     assert back.radii == {3: Fraction(1, 2)}
-
-
-def test_factor_views():
-    t = Term(Coeff.unit(kappa=1, p=2), deltas=((1, 2, 0),),
-             kers=(("NK", 0, 1, 2),), exps=((1, 1), (2, -1)))
-    dv = t.delta_factors()
-    assert dv[0].i == 1 and dv[0].k == 0
-    forms = {f.form for f in t.kernel_factors()}
-    assert "kernel-value" in forms
-    assert "exp-of-kernel-combination" in forms
-    assert "scalar-p" in forms and "scalar-kappa" in forms

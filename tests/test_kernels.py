@@ -11,29 +11,28 @@ from loopcorr.kernels import (
     XiSequence,
     heisenberg_pair,
     kernel_eval,
-    xi_eval,
 )
 
 
-def test_xi_eval_geometric():
+def test_xi_value_geometric():
     seq = XiSequence.geometric(Fraction(1, 2))
-    assert xi_eval(seq, 3) == Fraction(1, 8)
-    assert xi_eval(seq, -3) == Fraction(1, 8)
-    assert xi_eval(seq, 0) == 1
+    assert seq.xi_value(3) == Fraction(1, 8)
+    assert seq.xi_value(-3) == Fraction(1, 8)
+    assert seq.xi_value(0) == 1
 
 
-def test_xi_eval_power_law():
+def test_xi_value_power_law():
     seq = XiSequence.power_law(2)
-    assert xi_eval(seq, 4) == Fraction(1, 16)
-    assert xi_eval(seq, -4) == Fraction(1, 16)
+    assert seq.xi_value(4) == Fraction(1, 16)
+    assert seq.xi_value(-4) == Fraction(1, 16)
 
 
-def test_xi_eval_explicit_with_tail():
+def test_xi_value_explicit_with_tail():
     seq = XiSequence.explicit([Fraction(3), Fraction(2)], Fraction(1, 4))
-    assert xi_eval(seq, 1) == 3
-    assert xi_eval(seq, 2) == 2
-    assert xi_eval(seq, 3) == Fraction(1, 2)
-    assert xi_eval(seq, 5) == Fraction(1, 32)
+    assert seq.xi_value(1) == 3
+    assert seq.xi_value(2) == 2
+    assert seq.xi_value(3) == Fraction(1, 2)
+    assert seq.xi_value(5) == Fraction(1, 32)
 
 
 def test_sequence_validation():
@@ -53,7 +52,7 @@ def test_from_config_json_strings():
     seq = XiSequence.from_config('{"kind": "geometric", "q": "1/2", "xi0": "1"}')
     assert seq.q == Fraction(1, 2)
     assert seq.xi0 == 1
-    assert xi_eval(seq, 3) == Fraction(1, 8)
+    assert seq.xi_value(3) == Fraction(1, 8)
 
 
 def test_nk_equal_points_on_circle():

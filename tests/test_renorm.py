@@ -127,6 +127,18 @@ def test_cache_returns_same_object():
     assert evaluate_correlator(w, s) is evaluate_correlator(w, s)
 
 
+def test_cached_terms_are_read_only():
+    w = CurrentWord.from_names(("J+", "J-"))
+    s = RenormScheme.mu_family(K, default=0)
+    expr = evaluate_correlator(w, s)
+    assert len(expr.terms) == 5
+    with pytest.raises(TypeError):
+        expr.terms.append(expr.terms[0])
+    with pytest.raises(TypeError):
+        expr.terms += expr.terms[:1]
+    assert len(evaluate_correlator(w, s).terms) == 5
+
+
 def _hand_diagram(charges, solid, dotted):
     choices = tuple(VertexChoice(i, "J+", Coeff.unit(), charge=q)
                     for i, q in enumerate(charges))
