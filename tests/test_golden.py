@@ -3,8 +3,9 @@ fixed ladder of words must not change unless a change to the canonical form
 is intended.
 
 The ladder is every K and A word of length 1 to 3 in both sectors under
-drop-loops and a mu family, and in the unitary sector also under the dotted
-scheme, plus one 3-insertion word at radius 1/2 per scheme (400 words).
+drop-loops and a mu family, in the unitary sector also under the dotted
+scheme and in the nonunitary sector also under a mu family with a zero
+scale, plus one 3-insertion word at radius 1/2 per scheme (480 words).
 The hashes live in ``golden_to_json.json`` next to this file; regenerate
 them (only for an intended change) with
 
@@ -23,22 +24,27 @@ from loopcorr.renorm import CurrentWord, RenormScheme, evaluate_correlator
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_to_json.json")
 MU = {2: Fraction(1), 3: Fraction(1, 2), 4: Fraction(-2, 3)}
 DEFAULT_MU = Fraction(1, 3)
+# a family in which loops of length 3 and longer drop out but 2-loops stay
+ZERO_MU = {2: Fraction(1), 3: Fraction(0)}
 
 
 def _schemes(realization, sector):
+    """(tag, scheme) pairs; the tag is the policy unless two schemes share it."""
     cfg = SectorConfig(realization, sector)
-    yield RenormScheme.drop_loops(cfg)
-    yield RenormScheme.mu_family(cfg, entries=MU, default=DEFAULT_MU)
+    yield "drop-loops", RenormScheme.drop_loops(cfg)
+    yield "mu", RenormScheme.mu_family(cfg, entries=MU, default=DEFAULT_MU)
     if cfg.unitary:
-        yield RenormScheme.unitary_dotted(cfg, entries=MU, default=DEFAULT_MU)
+        yield "unitary-dotted", RenormScheme.unitary_dotted(cfg, entries=MU, default=DEFAULT_MU)
+    else:
+        yield "mu-zero", RenormScheme.mu_family(cfg, entries=ZERO_MU, default=0)
 
 
 def ladder():
     """(label, word, scheme) for every golden evaluation."""
     for realization, currents in (("K", CURRENTS_K), ("A", CURRENTS_A)):
         for sector in ("nonunitary", "unitary"):
-            for scheme in _schemes(realization, sector):
-                tag = f"{realization}/{sector}/{scheme.policy}"
+            for name, scheme in _schemes(realization, sector):
+                tag = f"{realization}/{sector}/{name}"
                 for n in (1, 2, 3):
                     for names in itertools.product(currents, repeat=n):
                         yield f"{tag}: {' '.join(names)}", CurrentWord.from_names(names), scheme
@@ -55,7 +61,7 @@ def test_canonical_json_is_unchanged():
     with open(GOLDEN, encoding="utf-8") as fh:
         want = json.load(fh)
     got = digests()
-    assert len(got) == 400
+    assert len(got) == 480
     assert sorted(got) == sorted(want), "the golden ladder itself changed"
     changed = [label for label in want if got[label] != want[label]]
     assert not changed, f"canonical JSON changed for {len(changed)} words, first: {changed[:5]}"
