@@ -108,20 +108,15 @@ def _sequence(args) -> XiSequence:
 
 def _scheme(args) -> RenormScheme:
     cfg = SectorConfig(realization=args.realization, sector=args.sector)
-    entries: Dict[int, Fraction] = {}
-    default = None
-    if args.mu:
-        data = _read_json(args.mu)
-        for key, val in data.items():
-            if key == "default":
-                default = Fraction(str(val))
-            else:
-                entries[int(key)] = Fraction(str(val))
     if args.policy == "drop-loops":
+        if args.mu:
+            raise ValueError("--mu has no effect under --policy drop-loops (every mu_k = 0)")
         return RenormScheme.drop_loops(cfg)
-    if args.policy == "mu":
-        return RenormScheme.mu_family(cfg, entries=entries or None, default=default)
-    return RenormScheme.unitary_dotted(cfg, entries=entries or None, default=default)
+    data = {key: Fraction(str(val)) for key, val in (_read_json(args.mu) if args.mu else {}).items()}
+    default = data.pop("default", None)
+    entries = {int(key): val for key, val in data.items()}
+    make = RenormScheme.mu_family if args.policy == "mu" else RenormScheme.unitary_dotted
+    return make(cfg, entries=entries, default=default)
 
 
 def _radius(args) -> Fraction:

@@ -162,14 +162,25 @@ class Coeff:
             total += c
         return total
 
-    def subs_numeric(self, kappa=1.0, p=0.0, lam=1.0, xi0=1.0,
-                     mu: Optional[Dict[int, float]] = None) -> complex:
+    def subs_mu(self, value) -> "Coeff":
+        """Exact substitution of ``value(k)`` for every loop scale mu_k.
+        A coefficient without mu_k monomials is returned as it is, and
+        ``value`` is only asked for the scales that occur."""
+        if not any(m[4] for m in self.d):
+            return self
+        out = Coeff()
+        for (ek, ep, el, ex, mus), (re, im) in self.d.items():
+            s = math.prod(value(k) ** e for k, e in mus)
+            out = out + Coeff({(ek, ep, el, ex, ()): (re * s, im * s)})
+        return out
+
+    def subs_numeric(self, kappa=1.0, p=0.0, lam=1.0, xi0=1.0) -> complex:
         total = 0j
         for (ek, ep, el, ex, mus), (re, im) in self.d.items():
+            if mus:
+                raise ValueError("loop scales are substituted before numeric evaluation")
             v = complex(re) + 1j * complex(im)
             v *= complex(kappa) ** ek * complex(p) ** ep * complex(lam) ** el * complex(xi0) ** ex
-            for k, e in mus:
-                v *= complex((mu or {}).get(k, 0.0)) ** e
             total += v
         return total
 
@@ -325,13 +336,6 @@ class Expression:
     def scale(self, re=1, im=0) -> "Expression":
         return Expression([replace(t, coeff=t.coeff.scale(re, im)) for t in self.terms],
                           self.realization, dict(self.radii))
-
-    def times_coeff(self, c: Coeff) -> "Expression":
-        return Expression([replace(t, coeff=t.coeff * c) for t in self.terms],
-                          self.realization, dict(self.radii))
-
-    def is_zero_syntactic(self) -> bool:
-        return all(t.coeff.is_zero for t in self.terms)
 
     # -- serialization ------------------------------------------------------
 
@@ -807,8 +811,7 @@ def _modes_deriv(f: Dict[int, complex], k: int) -> Dict[int, complex]:
 
 
 def smear(expr: Expression, tests: Dict[int, Dict[int, complex]], seq: XiSequence,
-          *, kappa=1.0, p=0.0, mu: Optional[Dict[int, float]] = None,
-          trunc: int = 32, grid: int = 48) -> complex:
+          *, kappa=1.0, p=0.0, trunc: int = 32, grid: int = 48) -> complex:
     """Pair the expression against a tensor product of Fourier-polynomial
     test functions (one mode dict per index, normalized pairing
     integral du/(2 pi) per variable).
@@ -830,7 +833,7 @@ def smear(expr: Expression, tests: Dict[int, Dict[int, complex]], seq: XiSequenc
     for t in e.terms:
         if t.dmarks:
             raise AssertionError("derivative markers must be expanded by canonicalize")
-        scalar = t.coeff.subs_numeric(kappa=kappa, p=p, xi0=float(seq.xi0), mu=mu)
+        scalar = t.coeff.subs_numeric(kappa=kappa, p=p, xi0=float(seq.xi0))
         if scalar == 0:
             continue
         # split deltas into on-circle stars and analytic (inside-disc) ones

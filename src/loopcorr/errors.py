@@ -28,8 +28,8 @@ class StructuralViolation(LoopcorrError):
 
 
 class MissingMu(LoopcorrError):
-    """A loop of length k was encountered but the renormalization scheme
-    provides neither mu_k nor a default."""
+    """A loop scale mu_k survives in a canonical correlator but the
+    renormalization scheme provides neither mu_k nor a default."""
 
 
 class ParseError(LoopcorrError):

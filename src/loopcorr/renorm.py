@@ -2,12 +2,15 @@
 
 A correlator's diagram expansion contains closed cycles of plain delta
 edges; on the circle such a cycle is a delta-squared object and has no
-distributional meaning.  A scheme assigns every cycle of length k a real
-scale mu_k and substitutes the cycle product by mu_k times the open chain
-over the same insertions -- one delta fewer -- uniformly at all radii:
+distributional meaning.  Every cycle of length k is replaced by the loop
+scale mu_k times the open chain over the same insertions -- one delta
+fewer -- uniformly at all radii.  The scale stays a symbol (a mu_k monomial
+of the coefficient) through canonicalization, so a word is enumerated,
+renormalized and canonicalized once per sector and dotted rule; a scheme
+only substitutes its numbers at the end:
 
-* drop-loops keeps only tree diagrams (every mu_k = 0);
-* a mu-family keeps looped diagrams with their assigned scales;
+* drop-loops sets every mu_k = 0, which keeps only tree diagrams;
+* a mu-family assigns its scales (explicit entries, else the default);
 * the unitary dotted scheme is a mu-family plus the side-balance filter
   on dotted edges: a dotted contraction survives only when the insertions
   solid-connected to an end of the dotted line carry as many plus as minus
@@ -21,9 +24,11 @@ is logged once per evaluation.
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import CURRENT_CHARGE, SectorConfig
@@ -38,9 +43,7 @@ _RULES = ("both-sides", "either-side")
 
 
 def _frac(x) -> Fraction:
-    if isinstance(x, float):
-        return Fraction(str(x))
-    return Fraction(x)
+    return Fraction(str(x)) if isinstance(x, float) else Fraction(x)
 
 
 @dataclass(frozen=True)
@@ -80,19 +83,16 @@ class RenormScheme:
                        entries: Optional[Dict[int, object]] = None,
                        default: Optional[object] = None,
                        dotted_rule: str = "both-sides") -> "RenormScheme":
-        mu = tuple(sorted((int(k), _frac(v)) for k, v in (entries or {}).items()))
-        return cls("unitary-dotted", sector, mu,
-                   None if default is None else _frac(default), dotted_rule)
+        return replace(cls.mu_family(sector, entries, default),
+                       policy="unitary-dotted", dotted_rule=dotted_rule)
 
     def mu_value(self, k: int) -> Fraction:
-        if self.policy == "drop-loops":
-            return Fraction(0)
-        for kk, v in self.mu:
-            if kk == k:
-                return v
-        if self.default is not None:
-            return self.default
-        raise MissingMu(f"no scale assigned to loops of length {k}")
+        """The value of the loop scale mu_k: 0 under drop-loops, else the
+        entry for k or the default."""
+        v = Fraction(0) if self.policy == "drop-loops" else dict(self.mu).get(k, self.default)
+        if v is None:
+            raise MissingMu(f"no scale assigned to loops of length {k}")
+        return v
 
 
 @dataclass(frozen=True)
@@ -112,11 +112,8 @@ class CurrentWord:
     @classmethod
     def from_names(cls, names: Sequence[str], radius=1) -> "CurrentWord":
         names = tuple(names)
-        if isinstance(radius, (list, tuple)):
-            radii = tuple(_frac(r) for r in radius)
-        else:
-            radii = (_frac(radius),) * len(names)
-        return cls(names, radii)
+        radii = radius if isinstance(radius, (list, tuple)) else (radius,) * len(names)
+        return cls(names, tuple(_frac(r) for r in radii))
 
 
 # ---------------------------------------------------------------------------
@@ -124,35 +121,30 @@ class CurrentWord:
 # ---------------------------------------------------------------------------
 
 
-def renormalize_loop(vertices: Sequence[int], mu_k) -> Tuple[Coeff, Tuple]:
+def renormalize_loop(vertices: Sequence[int], k: int) -> Tuple[Coeff, Tuple]:
     """The replacement of a closed k-cycle over the given insertions: the
-    scale mu_k together with the open delta chain (one factor fewer)."""
+    loop-scale symbol mu_k together with the open delta chain (one factor
+    fewer)."""
     verts = sorted(vertices)
     if len(verts) < 2:
         raise StructuralViolation("a loop has at least two insertions")
     chain = tuple((verts[n], verts[n + 1], 0) for n in range(len(verts) - 1))
-    return Coeff.complex_rat(_frac(mu_k)), chain
+    return Coeff.unit(mu={k: 1}), chain
 
 
-def renormalize_diagram(diagram: Diagram, cfg: SectorConfig,
-                        scheme: RenormScheme) -> List[Term]:
+def renormalize_diagram(diagram: Diagram, cfg: SectorConfig) -> List[Term]:
     """Weight terms of one diagram with every delta cycle substituted."""
     cycles = [c for c in loop_components(diagram) if c["betti"] >= 1]
-    for c in cycles:
-        if c["betti"] > 1:
-            raise StructuralViolation(
-                "a contraction component acquired two independent cycles")
+    if any(c["betti"] > 1 for c in cycles):
+        raise StructuralViolation("a contraction component acquired two independent cycles")
     factor = Coeff.unit()
     removed: List[Tuple[int, int, int]] = []
     chain: List[Tuple[int, int, int]] = []
     for c in cycles:
-        mu_c, chain_c = renormalize_loop(c["cycle_vertices"],
-                                         scheme.mu_value(c["cycle"]))
+        mu_c, chain_c = renormalize_loop(c["cycle_vertices"], c["cycle"])
         factor = factor * mu_c
         chain.extend(chain_c)
         removed.extend((i, j, 0) for (i, j) in c["cycle_pairs"])
-    if factor.is_zero:
-        return []
     out = []
     for t in diagram_weight(diagram, cfg):
         deltas = list(t.deltas)
@@ -210,29 +202,49 @@ class _ReadOnlyTerms(list):
     __setitem__ = __delitem__ = __iadd__ = __imul__ = _refuse
 
 
-_CACHE: Dict[Tuple[CurrentWord, RenormScheme], Expression] = {}
-
-
-def evaluate_correlator(word: CurrentWord, scheme: RenormScheme) -> Expression:
-    """Renormalized correlator of a current word: enumerate contractions,
-    filter dotted edges (dotted scheme), substitute loops, canonicalize.
-    Results are cached per (word, scheme); their term lists are read-only."""
-    key = (word, scheme)
-    if key in _CACHE:
-        return _CACHE[key]
-    cfg = scheme.sector
+@functools.lru_cache(maxsize=None)
+def symbolic_correlator(word: CurrentWord, cfg: SectorConfig,
+                        rule: Optional[str]) -> Expression:
+    """Renormalized correlator of a current word with every loop scale left
+    as the symbol mu_k: enumerate contractions, filter dotted edges (when a
+    dotted ``rule`` is given), substitute loops, canonicalize.  Cached per
+    (word, sector, rule); the term list, the radii and every coefficient's
+    monomial map are read-only."""
     radii = {i: r for i, r in enumerate(word.radii) if r != 1}
-    if scheme.policy == "unitary-dotted":
-        logger.info("dotted filter active, rule=%s", scheme.dotted_rule)
+    if rule is not None:
+        logger.info("dotted filter active, rule=%s", rule)
     terms: List[Term] = []
     if charge_vanishes(cfg.realization, (CURRENT_CHARGE.get(nm, 0) for nm in word.names)):
         logger.debug("word %s vanishes by charge balance", word.names)
     else:
         for d in enumerate_diagrams(word.names, cfg):
-            if scheme.policy == "unitary-dotted" and not dotted_filter(d, scheme.dotted_rule):
-                continue
-            terms.extend(renormalize_diagram(d, cfg, scheme))
+            if rule is None or dotted_filter(d, rule):
+                terms.extend(renormalize_diagram(d, cfg))
     expr = canonicalize(Expression(terms, cfg.realization, radii))
-    expr.terms = _ReadOnlyTerms(expr.terms)
-    _CACHE[key] = expr
+    terms = [replace(t, coeff=Coeff(MappingProxyType(dict(t.coeff.d)))) for t in expr.terms]
+    return Expression(_ReadOnlyTerms(terms), cfg.realization, MappingProxyType(expr.radii))
+
+
+_CACHE: Dict[Tuple[CurrentWord, RenormScheme], Expression] = {}
+
+
+def evaluate_correlator(word: CurrentWord, scheme: RenormScheme) -> Expression:
+    """Renormalized correlator of a current word under a scheme: the
+    symbolic correlator of the word, sector and dotted rule with the
+    scheme's loop scales substituted, and the terms that vanish dropped.
+    Raises :class:`MissingMu` for a scale that survives canonicalization
+    and has no value.  Results are cached per (word, scheme) and read-only."""
+    key = (word, scheme)
+    if key in _CACHE:
+        return _CACHE[key]
+    rule = scheme.dotted_rule if scheme.policy == "unitary-dotted" else None
+    sym = symbolic_correlator(word, scheme.sector, rule)
+    terms = []
+    for t in sym.terms:
+        coeff = t.coeff.subs_mu(scheme.mu_value)
+        if coeff is t.coeff:
+            terms.append(t)
+        elif not coeff.is_zero:
+            terms.append(replace(t, coeff=Coeff(MappingProxyType(coeff.d))))
+    expr = _CACHE[key] = Expression(_ReadOnlyTerms(terms), sym.realization, sym.radii)
     return expr

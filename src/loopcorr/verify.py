@@ -100,18 +100,14 @@ def _exp(v, exact: bool):
     return sp.exp(v) if exact else cmath.exp(v)
 
 
-def _coeff_value(c: Coeff, kappa, p, xi0, mu, exact: bool):
+def _coeff_value(c: Coeff, kappa, p, xi0, exact: bool):
     if not exact:
-        return c.subs_numeric(kappa=kappa, p=p, lam=1.0, xi0=xi0,
-                              mu={k: float(v) for k, v in (mu or {}).items()})
-    expr = c.to_sympy()
+        return c.subs_numeric(kappa=kappa, p=p, lam=1.0, xi0=xi0)
     subs = {sp.Symbol("kappa", positive=True): kappa,
             sp.Symbol("p", positive=True): p,
             sp.Symbol("lambda_", positive=True): 1,
             sp.Symbol("xi0", positive=True): xi0}
-    for k, v in (mu or {}).items():
-        subs[sp.Symbol(f"mu{k}", real=True)] = v
-    return expr.subs(subs, simultaneous=True)
+    return c.to_sympy().subs(subs, simultaneous=True)
 
 
 def _pair_series(z, w, k: int, family: str, seq: Optional[XiSequence], N: int,
@@ -382,7 +378,7 @@ def gaussian_oracle(names: Sequence[str], points: Sequence[CirclePoint],
         if nm in CURRENT_NAMES:
             opts = []
             for term in expand_current(nm, k, cfg):
-                cval = _coeff_value(term.coeff, kappa, p, xi0, None, exact)
+                cval = _coeff_value(term.coeff, kappa, p, xi0, exact)
                 opts.append((cval, tuple((s, k) for s in term.symbols)))
             expansions.append(opts)
         else:
@@ -421,7 +417,7 @@ def gaussian_oracle(names: Sequence[str], points: Sequence[CirclePoint],
 
 def expression_value(expr: Expression, points: Mapping[int, CirclePoint],
                      seq: XiSequence, *, trunc: int = 16, kappa=1, p=0,
-                     mu: Optional[Dict[int, object]] = None, exact: bool = False):
+                     exact: bool = False):
     """Evaluate a token expression at a fixed point configuration, with every
     kernel series truncated at mode ``trunc`` -- the same regularization the
     oracle uses, so values are directly comparable."""
@@ -442,7 +438,7 @@ def expression_value(expr: Expression, points: Mapping[int, CirclePoint],
     for t in flat:
         if t.singular:
             raise SingularProduct("cannot evaluate a singular term pointwise")
-        v = _coeff_value(t.coeff, kappa, p, xi0, mu, exact)
+        v = _coeff_value(t.coeff, kappa, p, xi0, exact)
         factors = [("delta", k, i, j) for (i, j, k) in t.deltas] + t.smooth_factors()
         for (family, k, i, j) in factors:
             z, w = _pt_value(points[i], exact), _pt_value(points[j], exact)
@@ -542,25 +538,19 @@ def relation_rhs(case: CommutatorTestCase) -> Expression:
     i = len(case.prefix)
     cfg = case.scheme.sector
     currents, central = _RELATIONS[cfg.realization][case.pair]
+    # (word, coefficient, order of the delta derivative, slots it fills)
+    parts = [(case.prefix + (name,) + case.suffix, coeff, 0, 1) for name, coeff in currents]
+    if not central.is_zero:
+        parts.append((case.prefix + case.suffix, central, 1, 2))
     terms = []
-    for name, coeff in currents:
-        w = CurrentWord.from_names(case.prefix + (name,) + case.suffix)
-        e = evaluate_correlator(w, case.scheme)
-        shift = {j: j + 1 for j in range(i, len(w.names))}
+    for names, coeff, k, gap in parts:
+        e = evaluate_correlator(CurrentWord.from_names(names), case.scheme)
+        shift = {j: j + gap for j in range(i, len(names))}
         for t in e.terms:
             t2 = t.relabel(shift) if shift else t
             terms.append(replace(
                 t2, coeff=t2.coeff * coeff,
-                deltas=tuple(sorted(t2.deltas + ((i, i + 1, 0),)))))
-    if not central.is_zero:
-        w = CurrentWord.from_names(case.prefix + case.suffix)
-        e = evaluate_correlator(w, case.scheme)
-        shift = {j: j + 2 for j in range(i, len(w.names))}
-        for t in e.terms:
-            t2 = t.relabel(shift) if shift else t
-            terms.append(replace(
-                t2, coeff=t2.coeff * central,
-                deltas=tuple(sorted(t2.deltas + ((i, i + 1, 1),)))))
+                deltas=tuple(sorted(t2.deltas + ((i, i + 1, k),)))))
     return Expression(terms, cfg.realization, {})
 
 
@@ -643,13 +633,14 @@ def check_hermiticity(word: CurrentWord, scheme: RenormScheme) -> Expression:
 def _word_scale_sensitive(names: Tuple[str, ...], realization: str) -> bool:
     """Whether the renormalized correlator of the word retains any loop
     scale on the circle.  Cycles need two charged currents; an unbalanced
-    K word vanishes outright.  For one balanced pair the collapsed loop
-    leaves a bare delta, and a spectator OUTSIDE the pair's span reaches
-    both charges through the same letter (two a- or two b-edges) whose
-    signs are opposite, cancelling the remnant — while a spectator between
-    the charges couples through one a- and one b-edge with matching signs,
-    so the remnant survives.  Same-sign pairs keep their exponential after
-    collapse and nothing cancels."""
+    K word vanishes outright, and same-sign pairs keep their exponential
+    after collapse, so nothing cancels.  For one opposite-charge pair at
+    i < j the collapsed loop leaves a bare delta.  A spectator between the
+    charges couples to it through one a- and one b-edge with matching
+    signs, so the remnant survives.  A spectator outside the span reaches
+    both charges through the same letter with opposite signs; for an
+    adjacent pair the remnant cancels exactly when the number of such
+    spectators is odd."""
     ch = [(k, CURRENT_CHARGE[nm]) for k, nm in enumerate(names) if nm in CURRENT_CHARGE]
     if len(ch) < 2:
         return False
@@ -658,9 +649,7 @@ def _word_scale_sensitive(names: Tuple[str, ...], realization: str) -> bool:
     if len(ch) > 2:
         return True
     (i, qi), (j, qj) = ch
-    if qi == qj:
-        return True
-    return i == 0 and j == len(names) - 1
+    return qi == qj or j - i > 1 or (len(names) - (j - i + 1)) % 2 == 0
 
 
 def commutator_scale_blind(case: CommutatorTestCase) -> bool:
@@ -697,9 +686,7 @@ def mu_independence(cases: Sequence[CommutatorTestCase],
     for case in cases:
         ca = commutator_in_correlator(replace(case, scheme=scheme_a))
         cb = commutator_in_correlator(replace(case, scheme=scheme_b))
-        da = {t.key(): t.coeff for t in ca.terms}
-        db = {t.key(): t.coeff for t in cb.terms}
-        same = set(da) == set(db) and all(da[k] == db[k] for k in da)
+        same = ca.terms == cb.terms  # canonical term lists are sorted by key
         report.details.append({"pair": case.pair, "prefix": case.prefix,
                                "suffix": case.suffix, "identical": same})
         if not same:
@@ -738,7 +725,7 @@ class GramReport:
 
 def gram_matrix(entries: Sequence[Tuple[Sequence[str], Sequence[Mapping[int, complex]]]],
                 scheme: RenormScheme, seq: XiSequence, *,
-                kappa=1.0, p=0.0, mu=None, trunc: int = 32,
+                kappa=1.0, p=0.0, trunc: int = 32,
                 grid: int = 48, tol: float = 1e-9) -> GramReport:
     """Pairing matrix G[i][j] = <w_i v, w_j v> over smeared current words.
 
@@ -759,7 +746,7 @@ def gram_matrix(entries: Sequence[Tuple[Sequence[str], Sequence[Mapping[int, com
             names = star_i + tuple(wj)
             expr = evaluate_correlator(CurrentWord.from_names(names), scheme)
             tests = {k: t for k, t in enumerate(tests_i + list(fj))}
-            val = smear(expr, tests, seq, kappa=kappa, p=p, mu=mu, trunc=trunc, grid=grid)
+            val = smear(expr, tests, seq, kappa=kappa, p=p, trunc=trunc, grid=grid)
             G[i, j] = sign_i * val
     residual = float(abs(G - G.conj().T).max()) if nb else 0.0
     sym = (G + G.conj().T) / 2

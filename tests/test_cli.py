@@ -158,6 +158,19 @@ def test_dotted_policy_needs_unitary_sector(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["terms"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["eval", "Jp(1) Jm(2)"],
+    ["commcheck", "--context", "0"],
+    ["gram", "J3(1)", "--trunc", "4"],
+])
+def test_mu_file_rejected_under_drop_loops(argv, tmp_path, capsys):
+    scales = tmp_path / "mu.json"
+    scales.write_text(json.dumps({"2": "1"}))
+    assert main(argv + ["--policy", "drop-loops", "--mu", str(scales)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError" and "--mu" in err["message"]
+
+
 def test_missing_loop_scales_reported(capsys):
     assert main(["eval", "Jp(1) Jm(2)", "--policy", "mu"]) == 2
     err = json.loads(capsys.readouterr().err)

@@ -40,6 +40,17 @@ def test_coeff_ring():
     assert a.conj().d[(1, 0, 0, 0, ())] == (Fraction(0), Fraction(-4))
 
 
+def test_loop_scale_substitution():
+    c = Coeff.unit(kappa=1) + Coeff.unit(mu={2: 2}, re=3) + Coeff.unit(mu={2: 1, 3: 1}, re=0, im=1)
+    assert c.subs_mu({2: Fraction(1, 2), 3: 4}.get) == \
+        Coeff.unit(kappa=1) + Coeff.complex_rat(Fraction(3, 4), 2)
+    assert c.subs_mu(lambda k: 0) == Coeff.unit(kappa=1)
+    plain = Coeff.unit(kappa=1)
+    assert plain.subs_mu(None) is plain
+    with pytest.raises(ValueError):
+        c.subs_numeric()
+
+
 def test_merge_of_identical_structures():
     t1 = term(1, deltas=((1, 2, 0),))
     t2 = term(-1, deltas=((1, 2, 0),))

@@ -7,14 +7,16 @@ pin a few of them to explicit token forms and drive the report generators
 the acceptance suite relies on.
 """
 
+import itertools
 from fractions import Fraction
 
-from loopcorr.algebra import CURRENTS_A, CURRENTS_K, SectorConfig
+from loopcorr.algebra import CURRENT_CHARGE, CURRENTS_A, CURRENTS_K, SectorConfig
 from loopcorr.distributions import Coeff, canonicalize, smear
 from loopcorr.kernels import XiSequence
-from loopcorr.renorm import CurrentWord, RenormScheme, evaluate_correlator
+from loopcorr.renorm import CurrentWord, RenormScheme, evaluate_correlator, symbolic_correlator
 from loopcorr.verify import (
     CommutatorTestCase,
+    _word_scale_sensitive,
     check_affine_relations,
     check_hermiticity,
     commutator_in_correlator,
@@ -189,6 +191,33 @@ def test_scale_blind_predicate_matches_engine_on_k_sweep():
     rep = mu_independence(cases, fam_a, fam_b)
     for case, detail in zip(cases, rep.details):
         assert commutator_scale_blind(case) == detail["identical"]
+
+
+def test_scale_sensitivity_rule_matches_symbolic_engine():
+    # a mu_k monomial survives on the circle exactly where the word-level
+    # rule says so: every word of length <= 3, and every length-4 word with
+    # two charged currents (where an adjacent pair with two spectators keeps
+    # its remnant)
+    checked = 0
+    for cfg, currents in ((K, CURRENTS_K), (A, CURRENTS_A)):
+        words = [w for n in (1, 2, 3) for w in itertools.product(currents, repeat=n)]
+        words += [w for w in itertools.product(currents, repeat=4)
+                  if sum(nm in CURRENT_CHARGE for nm in w) == 2]
+        for names in words:
+            expr = symbolic_correlator(CurrentWord.from_names(names), cfg, None)
+            scaled = any(m[4] for t in expr.terms for m in t.coeff.d)
+            assert scaled == _word_scale_sensitive(names, cfg.realization), names
+            checked += 1
+    assert checked == 126
+
+
+def test_adjacent_pair_with_two_spectators_is_not_blind():
+    # J- [J3, J+] J3 J3 substitutes J- J+ J3 J3, whose 2-loop remnant survives
+    fam_a = RenormScheme.mu_family(K, default=0)
+    fam_b = RenormScheme.mu_family(K, entries={2: 1, 3: Fraction(1, 2), 4: Fraction(1, 3)})
+    case = CommutatorTestCase(("J-",), ("J3", "J+"), ("J3", "J3"), fam_a)
+    assert not commutator_scale_blind(case)
+    assert not mu_independence([case], fam_a, fam_b).ok
 
 
 def test_gram_vacuum_and_duplicates():

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from loopcorr import renorm
 from loopcorr.algebra import SectorConfig
 from loopcorr.diagrams import Diagram, Edge, VertexChoice, enumerate_diagrams
 from loopcorr.distributions import Coeff, canonicalize, detect_singular
@@ -47,12 +48,10 @@ def test_scheme_construction_and_mu_lookup():
 
 
 def test_renormalize_loop_chains():
-    c, chain = renormalize_loop([1, 2], Fraction(3, 4))
-    assert c == Coeff.complex_rat(Fraction(3, 4)) and chain == ((1, 2, 0),)
-    c, chain = renormalize_loop([3, 1, 2], 1)
-    assert chain == ((1, 2, 0), (2, 3, 0))
-    c, _ = renormalize_loop([1, 2], 0)
-    assert c.is_zero
+    c, chain = renormalize_loop([1, 2], 2)
+    assert c == Coeff.unit(mu={2: 1}) and chain == ((1, 2, 0),)
+    c, chain = renormalize_loop([3, 1, 2], 3)
+    assert c == Coeff.unit(mu={3: 1}) and chain == ((1, 2, 0), (2, 3, 0))
 
 
 def test_two_point_loop_substitution():
@@ -114,6 +113,29 @@ def test_missing_mu_raises():
         evaluate_correlator(w, RenormScheme.mu_family(K, {3: 1}))
 
 
+def test_scales_that_cancel_need_no_value():
+    # the 2-loop remnant of <J+ J- J3> cancels on the circle, so a family
+    # without mu_2 still evaluates it, to the drop-loops value
+    w = CurrentWord.from_names(("J+", "J-", "J3"))
+    assert _tdict(evaluate_correlator(w, RenormScheme.mu_family(K, {3: 1}))) == \
+           _tdict(evaluate_correlator(w, RenormScheme.drop_loops(K)))
+
+
+def test_one_enumeration_serves_every_scheme(monkeypatch):
+    calls = []
+
+    def counting(names, cfg):
+        calls.append(names)
+        return enumerate_diagrams(names, cfg)
+
+    monkeypatch.setattr(renorm, "enumerate_diagrams", counting)
+    w = CurrentWord.from_names(("J+", "J-", "J3"), radius=Fraction(7, 11))
+    for scheme in (RenormScheme.drop_loops(K), RenormScheme.mu_family(K, {2: 5}, default=1),
+                   RenormScheme.mu_family(K, {}, default=Fraction(-1, 3))):
+        evaluate_correlator(w, scheme)
+    assert calls == [w.names]
+
+
 def test_empty_word_is_unity():
     expr = evaluate_correlator(CurrentWord.from_names(()), RenormScheme.drop_loops(K))
     assert len(expr.terms) == 1
@@ -136,7 +158,13 @@ def test_cached_terms_are_read_only():
         expr.terms.append(expr.terms[0])
     with pytest.raises(TypeError):
         expr.terms += expr.terms[:1]
-    assert len(evaluate_correlator(w, s).terms) == 5
+    before = expr.to_json()
+    with pytest.raises(TypeError):
+        expr.radii[0] = Fraction(1, 2)
+    with pytest.raises(AttributeError):
+        expr.terms[0].coeff.d.clear()
+    again = evaluate_correlator(w, s)
+    assert len(again.terms) == 5 and again.to_json() == before
 
 
 def _hand_diagram(charges, solid, dotted):
