@@ -5,7 +5,10 @@ is intended.
 The ladder is every K and A word of length 1 to 3 in both sectors under
 drop-loops and a mu family, in the unitary sector also under the dotted
 scheme and in the nonunitary sector also under a mu family with a zero
-scale, plus one 3-insertion word at radius 1/2 per scheme (480 words).
+scale, plus one 3-insertion word at radius 1/2 per scheme, plus four
+5-insertion words in the nonunitary sector under the mu family (484 words):
+J+ J- J+ J- J3 (4450 diagrams), its A mirror H F E F E, and one word of
+each realization from the deep benchmark workload.
 The hashes live in ``golden_to_json.json`` next to this file; regenerate
 them (only for an intended change) with
 
@@ -26,6 +29,8 @@ MU = {2: Fraction(1), 3: Fraction(1, 2), 4: Fraction(-2, 3)}
 DEFAULT_MU = Fraction(1, 3)
 # a family in which loops of length 3 and longer drop out but 2-loops stay
 ZERO_MU = {2: Fraction(1), 3: Fraction(0)}
+# words of five insertions, where canonicalization dominates the cost
+LONG = {"K": ("J+ J- J+ J- J3", "J- J3 J3 J+ J3"), "A": ("H F E F E", "E H H H F")}
 
 
 def _schemes(realization, sector):
@@ -50,6 +55,9 @@ def ladder():
                         yield f"{tag}: {' '.join(names)}", CurrentWord.from_names(names), scheme
                 yield (f"{tag}: {' '.join(currents)} @ r=1/2",
                        CurrentWord.from_names(currents, radius=Fraction(1, 2)), scheme)
+                if sector == "nonunitary" and name == "mu":
+                    for text in LONG[realization]:
+                        yield f"{tag}: {text}", CurrentWord.from_names(text.split()), scheme
 
 
 def digests():
@@ -61,7 +69,7 @@ def test_canonical_json_is_unchanged():
     with open(GOLDEN, encoding="utf-8") as fh:
         want = json.load(fh)
     got = digests()
-    assert len(got) == 480
+    assert len(got) == 484
     assert sorted(got) == sorted(want), "the golden ladder itself changed"
     changed = [label for label in want if got[label] != want[label]]
     assert not changed, f"canonical JSON changed for {len(changed)} words, first: {changed[:5]}"
