@@ -120,6 +120,16 @@ class Coeff:
         return self + (-other)
 
     def __mul__(self, other: "Coeff") -> "Coeff":
+        if len(self.d) == 1 and len(other.d) == 1:
+            # the common case in the pipeline: two single monomials, mostly 1 x 1
+            ((m1, (a, b)),) = self.d.items()
+            ((m2, (c, e)),) = other.d.items()
+            m = m2 if m1 == MONO_ONE else m1 if m2 == MONO_ONE else _mono_mul(m1, m2)
+            if b == 0 and e == 0:
+                re, im = a * c, _ZERO
+            else:
+                re, im = a * c - b * e, a * e + b * c
+            return Coeff({m: (re, im)}) if re or im else Coeff()
         out: Dict[Mono, Tuple[Fraction, Fraction]] = {}
         for m1, (a, b) in self.d.items():
             for m2, (c, e) in other.d.items():
@@ -134,6 +144,8 @@ class Coeff:
         return Coeff(out)
 
     def scale(self, re=1, im=0) -> "Coeff":
+        if im == 0 and re in (1, -1):
+            return self if re == 1 else -self
         return self * Coeff.complex_rat(re, im)
 
     def conj(self) -> "Coeff":
@@ -516,8 +528,12 @@ def _term_fingerprint(terms: List[Term]) -> tuple:
     return tuple(sorted((t.key(), tuple(sorted(t.coeff.d.items()))) for t in terms))
 
 
-def canonicalize(expr: Expression, allow_singular: bool = False,
-                 max_passes: int = 60) -> Expression:
+# a safety net: canonical form is reached in a few passes
+_MAX_PASSES = 60
+_ONE = Coeff.one()
+
+
+def canonicalize(expr: Expression, allow_singular: bool = False) -> Expression:
     """Rewrite to canonical form.  Raises :class:`SingularProduct` on
     delta-square patterns unless ``allow_singular`` (then such terms are
     carried with their ``singular`` flag and skipped by the rewrites)."""
@@ -525,7 +541,7 @@ def canonicalize(expr: Expression, allow_singular: bool = False,
     realization = expr.realization
 
     terms = list(expr.terms)
-    for _pass in range(max_passes):
+    for _pass in range(_MAX_PASSES):
         before = _term_fingerprint(terms)
         terms = _pass_once(terms, on_circle, realization, allow_singular)
         if _term_fingerprint(terms) == before:
@@ -536,52 +552,36 @@ def canonicalize(expr: Expression, allow_singular: bool = False,
 
 
 def _pass_once(terms: List[Term], on_circle, realization, allow_singular) -> List[Term]:
+    """Rewrite every term until it is finished.  Each rewrite multiplies the
+    coefficient by an integer, so what a term rewrites to depends on its
+    structure (``Term.key()``) alone, with coefficients linear in its own:
+    the worklist holds one entry per structure, level by level, and each
+    entry is rewritten once with the sum of the coefficients that reached it.
+
+    An entry is live when a nonzero coefficient reached it.  A live entry
+    whose coefficients cancel is still rewritten (with a unit coefficient,
+    passing zero on), so that it raises the errors each of its terms would
+    raise; entries no nonzero coefficient reached are skipped."""
     out: List[Term] = []
-    work = list(terms)
-    while work:
-        t = work.pop()
-        if t.coeff.is_zero:
-            continue
-        # expand pending derivative markers
-        if t.dmarks:
-            idx = t.dmarks[0]
-            base = replace(t, dmarks=t.dmarks[1:])
-            work.extend(d_du(base, idx, realization))
-            continue
-        if t.exps and charge_vanishes(realization, (c for _, c in t.exps)):
-            continue
-        if t.singular:
-            out.append(t.sorted())
-            continue
-        # singular scan over the on-circle delta multigraph
-        uf = UnionFind()
-        singular = False
-        for (i, j, _k) in t.deltas:
-            if on_circle(i) and on_circle(j):
-                if not uf.union(i, j):
-                    singular = True
-        if singular:
-            if not allow_singular:
-                raise SingularProduct(
-                    "delta-square pattern outside a loop-renormalization context: "
-                    f"{t.deltas}")
-            out.append(replace(t, singular=True).sorted())
-            continue
-        t2 = _collapse_plain(t, on_circle)
-        if t2 is not None:
-            work.append(t2)
-            continue
-        t = _merge_exps(t)
-        if t is None:
-            continue
-        t = _orient_charges(t)
-        if _has_odd_self(t):
-            continue
-        moved = _star_moves(t, on_circle, realization)
-        if moved is not None:
-            work.extend(moved)
-            continue
-        out.append(t.sorted())
+    level: Dict[tuple, list] = {}
+    for t in terms:
+        _gather(level, t, t.coeff, not t.coeff.is_zero)
+    while level:
+        nxt: Dict[tuple, list] = {}
+        for t, coeff, live in level.values():
+            if not live:
+                continue
+            cancelled = coeff.is_zero
+            if cancelled:
+                t = replace(t, coeff=_ONE)
+            elif coeff is not t.coeff:
+                t = replace(t, coeff=coeff)
+            done, successors = _rewrite(t, on_circle, realization, allow_singular)
+            if done is not None and not cancelled:
+                out.append(done)
+            for s in successors:
+                _gather(nxt, s, Coeff() if cancelled else s.coeff, not s.coeff.is_zero)
+        level = nxt
     # merge identical structures
     acc: Dict[tuple, Coeff] = {}
     order: List[tuple] = []
@@ -596,6 +596,52 @@ def _pass_once(terms: List[Term], on_circle, realization, allow_singular) -> Lis
             order.append(k)
     merged = [replace(keep[k], coeff=acc[k]) for k in sorted(order) if not acc[k].is_zero]
     return merged
+
+
+def _gather(level: Dict[tuple, list], t: Term, coeff: Coeff, live: bool) -> None:
+    """Add ``coeff`` to the entry [term, coefficient sum, live] of t's structure."""
+    k = t.key()
+    entry = level.get(k)
+    if entry is None:
+        level[k] = [t, coeff, live]
+    else:
+        entry[1] = entry[1] + coeff
+        entry[2] = entry[2] or live
+
+
+def _rewrite(t: Term, on_circle, realization, allow_singular) -> Tuple[Optional[Term], List[Term]]:
+    """One rewrite step of a term with a nonzero coefficient: (finished
+    term, []) when no rule applies, else (None, successors)."""
+    # expand pending derivative markers
+    if t.dmarks:
+        return None, d_du(replace(t, dmarks=t.dmarks[1:]), t.dmarks[0], realization)
+    if t.exps and charge_vanishes(realization, (c for _, c in t.exps)):
+        return None, []
+    if t.singular:
+        return t.sorted(), []
+    # singular scan over the on-circle delta multigraph
+    uf = UnionFind()
+    singular = False
+    for (i, j, _k) in t.deltas:
+        if on_circle(i) and on_circle(j):
+            if not uf.union(i, j):
+                singular = True
+    if singular:
+        if not allow_singular:
+            raise SingularProduct(
+                "delta-square pattern outside a loop-renormalization context: "
+                f"{t.deltas}")
+        return replace(t, singular=True).sorted(), []
+    t2 = _collapse_plain(t, on_circle)
+    if t2 is not None:
+        return None, [t2]
+    t = _orient_charges(_merge_exps(t))
+    if _has_odd_self(t):
+        return None, []
+    moved = _star_moves(t, on_circle, realization)
+    if moved is not None:
+        return None, moved
+    return t.sorted(), []
 
 
 def _collapse_plain(t: Term, on_circle) -> Optional[Term]:
@@ -630,11 +676,10 @@ def _collapse_plain(t: Term, on_circle) -> Optional[Term]:
     return replace(relabeled, deltas=deltas)
 
 
-def _merge_exps(t: Term) -> Optional[Term]:
+def _merge_exps(t: Term) -> Term:
     """Merge exponential charges at equal positions; drop zero charges.
     Exact: exponentials of the same field at the same point multiply by
-    adding charges.  Returns None if the term should be dropped (cannot
-    happen here; kept for symmetry)."""
+    adding charges."""
     if not t.exps:
         return t
     acc: Dict[int, int] = {}

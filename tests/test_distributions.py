@@ -3,6 +3,8 @@ import math
 from fractions import Fraction
 
 import pytest
+import sympy as sp
+from hypothesis import given, settings, strategies as st
 
 from loopcorr.distributions import (
     Coeff,
@@ -38,6 +40,44 @@ def test_coeff_ring():
     assert prod.d[(1, 0, 0, 0, ((2, 1),))] == (Fraction(0), Fraction(2))
     assert (a * b).d[(2, 0, 0, 0, ())] == (Fraction(16), Fraction(0))
     assert a.conj().d[(1, 0, 0, 0, ())] == (Fraction(0), Fraction(-4))
+
+
+# small pools, so that monomials and parts collide and sums and products cancel
+_FRACS = st.sampled_from([Fraction(0), Fraction(1), Fraction(-1), Fraction(2),
+                          Fraction(1, 2), Fraction(-3, 4)])
+_UNITS = st.builds(lambda kappa, mu, re, im: Coeff.unit(kappa=kappa, mu=mu, re=re, im=im),
+                   st.integers(0, 2), st.dictionaries(st.sampled_from((2, 3)), st.integers(1, 2),
+                                                      max_size=2),
+                   _FRACS, _FRACS)
+
+
+@st.composite
+def _coeffs(draw):
+    """A sum of one to three monomials, or a difference x - y with the same
+    monomials as the sum x + y drawn next to it."""
+    parts = draw(st.lists(_UNITS, min_size=1, max_size=3))
+    total = Coeff()
+    for n, c in enumerate(parts):
+        total = total - c if n and draw(st.booleans()) else total + c
+    return total
+
+
+def _check_exact(c: Coeff, want) -> None:
+    assert sp.expand(c.to_sympy() - want) == 0
+    for re, im in c.d.values():
+        assert type(re) is Fraction and type(im) is Fraction and (re or im)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_coeffs(), _coeffs(), st.sampled_from([(1, 0), (-1, 0), (2, 0), (Fraction(1, 2), 0), (0, 1)]))
+def test_coeff_arithmetic_is_exact(a, b, s):
+    before_a, before_b = dict(a.d), dict(b.d)
+    _check_exact(a * b, sp.expand(a.to_sympy() * b.to_sympy()))
+    _check_exact(a * a, sp.expand(a.to_sympy() ** 2))
+    _check_exact((a + b) * (a - b), sp.expand(a.to_sympy() ** 2 - b.to_sympy() ** 2))
+    re, im = s
+    _check_exact(a.scale(re, im), sp.expand(a.to_sympy() * (sp.Rational(re) + sp.I * im)))
+    assert a.d == before_a and b.d == before_b
 
 
 def test_loop_scale_substitution():
@@ -83,6 +123,19 @@ def test_delta_cycle_is_singular():
     out = canonicalize(expr([t]), allow_singular=True)
     assert out.terms[0].singular
     assert detect_singular(expr([t]))
+
+
+def test_cancelling_singular_terms_still_raise():
+    # the coefficients of equal structures are merged before rewriting; a
+    # structure some nonzero term reaches is rewritten even when they cancel
+    square = ((0, 1, 0), (0, 1, 0))
+    for dmarks in ((), (0,)):
+        pair = expr([term(1, deltas=square, dmarks=dmarks), term(-1, deltas=square, dmarks=dmarks)])
+        with pytest.raises(SingularProduct):
+            canonicalize(pair)
+        assert canonicalize(pair, allow_singular=True).terms == []
+    # a term with a zero coefficient is never rewritten
+    assert canonicalize(expr([Term(Coeff(), deltas=square)])).terms == []
 
 
 def test_repeated_pair_is_singular():
