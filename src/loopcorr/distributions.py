@@ -30,7 +30,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -240,7 +240,7 @@ class Term:
                 self.dmarks, self.singular)
 
     def sorted(self) -> "Term":
-        return replace(
+        return _replace(
             self,
             deltas=tuple(sorted(self.deltas)),
             kers=tuple(sorted(self.kers)),
@@ -310,6 +310,15 @@ class Term:
                 + [("D", k, i, j) for (k, i, j) in self.dots])
 
 
+def _replace(t: Term, **changes) -> Term:
+    """``dataclasses.replace`` for a Term without its per-field introspection
+    and frozen ``__init__``: canonicalization copies hundreds of thousands of
+    terms.  ``changes`` names Term fields."""
+    new = object.__new__(Term)
+    new.__dict__.update(t.__dict__, **changes)
+    return new
+
+
 @dataclass
 class Expression:
     """A sum of terms over a fixed index set with per-index radii.
@@ -346,7 +355,7 @@ class Expression:
         return self + other.scale(-1)
 
     def scale(self, re=1, im=0) -> "Expression":
-        return Expression([replace(t, coeff=t.coeff.scale(re, im)) for t in self.terms],
+        return Expression([_replace(t, coeff=t.coeff.scale(re, im)) for t in self.terms],
                           self.realization, dict(self.radii))
 
     # -- serialization ------------------------------------------------------
@@ -406,7 +415,7 @@ def conjugate(expr: Expression) -> Expression:
     """Complex conjugation.  All structural factors are real-valued, so only
     the coefficients conjugate; index roles are untouched (word reversal is
     a separate relabeling done by the caller)."""
-    return Expression([replace(t, coeff=t.coeff.conj()) for t in expr.terms],
+    return Expression([_replace(t, coeff=t.coeff.conj()) for t in expr.terms],
                       expr.realization, dict(expr.radii))
 
 
@@ -428,7 +437,7 @@ def d_du(term: Term, idx: int, realization: Optional[str]) -> List[Term]:
         if idx == i or idx == j:
             s = 1 if idx == i else -1
             deltas = term.deltas[:n] + ((i, j, k + 1),) + term.deltas[n + 1:]
-            out.append(replace(term, coeff=term.coeff.scale(s), deltas=tuple(sorted(deltas))))
+            out.append(_replace(term, coeff=term.coeff.scale(s), deltas=tuple(sorted(deltas))))
 
     for n, (tag, k, i, j) in enumerate(term.kers):
         if i == j:
@@ -436,7 +445,7 @@ def d_du(term: Term, idx: int, realization: Optional[str]) -> List[Term]:
         if idx == i or idx == j:
             s = 1 if idx == i else -1
             kers = term.kers[:n] + ((tag, k + 1, i, j),) + term.kers[n + 1:]
-            out.append(replace(term, coeff=term.coeff.scale(s), kers=tuple(sorted(kers))))
+            out.append(_replace(term, coeff=term.coeff.scale(s), kers=tuple(sorted(kers))))
 
     for n, (k, i, j) in enumerate(term.wavys):
         if i == j:
@@ -444,7 +453,7 @@ def d_du(term: Term, idx: int, realization: Optional[str]) -> List[Term]:
         if idx == i or idx == j:
             s = 1 if idx == i else -1
             wavys = term.wavys[:n] + ((k + 1, i, j),) + term.wavys[n + 1:]
-            out.append(replace(term, coeff=term.coeff.scale(s), wavys=tuple(sorted(wavys))))
+            out.append(_replace(term, coeff=term.coeff.scale(s), wavys=tuple(sorted(wavys))))
 
     for n, (k, i, j) in enumerate(term.dots):
         if i == j:
@@ -452,7 +461,7 @@ def d_du(term: Term, idx: int, realization: Optional[str]) -> List[Term]:
         if idx == i or idx == j:
             s = 1 if idx == i else -1
             dots = term.dots[:n] + ((k + 1, i, j),) + term.dots[n + 1:]
-            out.append(replace(term, coeff=term.coeff.scale(s), dots=tuple(sorted(dots))))
+            out.append(_replace(term, coeff=term.coeff.scale(s), dots=tuple(sorted(dots))))
 
     if any(p == idx for p, _ in term.exps):
         if realization not in ("K", "A"):
@@ -468,7 +477,7 @@ def d_du(term: Term, idx: int, realization: Optional[str]) -> List[Term]:
                 a, b, flip = orient(idx, ps, 1)
                 coeff = term.coeff.scale(outer * ce * cs * flip)
                 kers = tuple(sorted(term.kers + ((tag, 1, a, b),)))
-                out.append(replace(term, coeff=coeff, kers=kers))
+                out.append(_replace(term, coeff=coeff, kers=kers))
 
     return out
 
@@ -541,11 +550,13 @@ def canonicalize(expr: Expression, allow_singular: bool = False) -> Expression:
     realization = expr.realization
 
     terms = list(expr.terms)
+    before = _term_fingerprint(terms)
     for _pass in range(_MAX_PASSES):
-        before = _term_fingerprint(terms)
         terms = _pass_once(terms, on_circle, realization, allow_singular)
-        if _term_fingerprint(terms) == before:
+        after = _term_fingerprint(terms)
+        if after == before:
             break
+        before = after
     else:  # pragma: no cover - safety net
         raise AssertionError("canonicalization did not stabilize")
     return Expression(terms, expr.realization, dict(expr.radii))
@@ -573,9 +584,9 @@ def _pass_once(terms: List[Term], on_circle, realization, allow_singular) -> Lis
                 continue
             cancelled = coeff.is_zero
             if cancelled:
-                t = replace(t, coeff=_ONE)
+                t = _replace(t, coeff=_ONE)
             elif coeff is not t.coeff:
-                t = replace(t, coeff=coeff)
+                t = _replace(t, coeff=coeff)
             done, successors = _rewrite(t, on_circle, realization, allow_singular)
             if done is not None and not cancelled:
                 out.append(done)
@@ -594,7 +605,7 @@ def _pass_once(terms: List[Term], on_circle, realization, allow_singular) -> Lis
             acc[k] = t.coeff
             keep[k] = t
             order.append(k)
-    merged = [replace(keep[k], coeff=acc[k]) for k in sorted(order) if not acc[k].is_zero]
+    merged = [_replace(keep[k], coeff=acc[k]) for k in sorted(order) if not acc[k].is_zero]
     return merged
 
 
@@ -614,7 +625,7 @@ def _rewrite(t: Term, on_circle, realization, allow_singular) -> Tuple[Optional[
     term, []) when no rule applies, else (None, successors)."""
     # expand pending derivative markers
     if t.dmarks:
-        return None, d_du(replace(t, dmarks=t.dmarks[1:]), t.dmarks[0], realization)
+        return None, d_du(_replace(t, dmarks=t.dmarks[1:]), t.dmarks[0], realization)
     if t.exps and charge_vanishes(realization, (c for _, c in t.exps)):
         return None, []
     if t.singular:
@@ -631,7 +642,7 @@ def _rewrite(t: Term, on_circle, realization, allow_singular) -> Tuple[Optional[
             raise SingularProduct(
                 "delta-square pattern outside a loop-renormalization context: "
                 f"{t.deltas}")
-        return replace(t, singular=True).sorted(), []
+        return _replace(t, singular=True).sorted(), []
     t2 = _collapse_plain(t, on_circle)
     if t2 is not None:
         return None, [t2]
@@ -664,7 +675,7 @@ def _collapse_plain(t: Term, on_circle) -> Optional[Term]:
                 want.add((r, x, 0))
     plain_set = set(plain)
     rest = tuple(tok for tok in t.deltas if tok not in plain_set)
-    base = replace(t, deltas=rest)
+    base = _replace(t, deltas=rest)
     if plain_set == want and not (set(mapping) & base.indices()):
         return None
     relabeled = base.relabel(mapping)
@@ -673,7 +684,7 @@ def _collapse_plain(t: Term, on_circle) -> Optional[Term]:
             raise StructuralViolation(
                 "wavy/dotted factor closed onto a single point by delta support")
     deltas = tuple(sorted(set(relabeled.deltas) | want))
-    return replace(relabeled, deltas=deltas)
+    return _replace(relabeled, deltas=deltas)
 
 
 def _merge_exps(t: Term) -> Term:
@@ -688,7 +699,7 @@ def _merge_exps(t: Term) -> Term:
     exps = tuple(sorted((pos, c) for pos, c in acc.items() if c != 0))
     if exps == t.exps:
         return t
-    return replace(t, exps=exps)
+    return _replace(t, exps=exps)
 
 
 def _orient_charges(t: Term) -> Term:
@@ -698,7 +709,7 @@ def _orient_charges(t: Term) -> Term:
     the representative whose lowest occupied position carries a positive
     charge, which lets conjugate-reversed terms merge."""
     if t.exps and t.exps[0][1] < 0:
-        return replace(t, exps=tuple(sorted((pos, -c) for pos, c in t.exps)))
+        return _replace(t, exps=tuple(sorted((pos, -c) for pos, c in t.exps)))
     return t
 
 
@@ -811,23 +822,23 @@ def _find_edge(t: Term, x: int, p: int) -> Tuple[int, int, int]:
 def _move_leaf(term: Term, x: int, p: int, realization) -> List[Term]:
     edge = _find_edge(term, x, p)
     rest = tuple(tok for tok in term.deltas if tok != edge)
-    base = replace(term, deltas=rest)
+    base = _replace(term, deltas=rest)
     if not _tokens_at(base, x) and not any(q == x for q, _ in base.exps):
         return [term]
     k = edge[2]
     mapping = {x: p}
     if k == 0:
         moved = base.relabel(mapping)
-        return [replace(moved, deltas=tuple(sorted(moved.deltas + (edge,))))]
+        return [_replace(moved, deltas=tuple(sorted(moved.deltas + (edge,))))]
     deriv_end = x == edge[0]
     out: List[Term] = []
     layer: List[Term] = [base]
     for l in range(0, k + 1):
         c = math.comb(k, l) * ((-1) ** l if deriv_end else 1)
         for tt in layer:
-            moved = replace(tt, coeff=tt.coeff.scale(c)).relabel(mapping)
+            moved = _replace(tt, coeff=tt.coeff.scale(c)).relabel(mapping)
             residual = (edge[0], edge[1], k - l)
-            out.append(replace(moved, deltas=tuple(sorted(moved.deltas + (residual,)))))
+            out.append(_replace(moved, deltas=tuple(sorted(moved.deltas + (residual,)))))
         if l < k:
             layer = [t2 for tt in layer for t2 in d_du(tt, x, realization)]
             if not layer:
