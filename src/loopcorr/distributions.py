@@ -94,7 +94,7 @@ class Coeff:
     @classmethod
     def unit(cls, kappa=0, p=0, xi0=0, mu: Optional[Dict[int, int]] = None,
              re=1, im=0) -> "Coeff":
-        mono = (kappa, p, 0, xi0, tuple(sorted((mu or {}).items())))
+        mono = (kappa, p, 0, xi0, tuple(sorted((k, e) for k, e in (mu or {}).items() if e)))
         re, im = Fraction(re), Fraction(im)
         if re == 0 and im == 0:
             return cls()

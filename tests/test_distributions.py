@@ -39,6 +39,7 @@ def test_coeff_ring():
     assert list(prod.d) == [(1, 0, 0, 0, ((2, 1),))]
     assert prod.d[(1, 0, 0, 0, ((2, 1),))] == (Fraction(0), Fraction(2))
     assert (a * b).d[(2, 0, 0, 0, ())] == (Fraction(16), Fraction(0))
+    assert Coeff.unit(mu={2: 0}) == Coeff.one()
     assert a.conj().d[(1, 0, 0, 0, ())] == (Fraction(0), Fraction(-4))
 
 
