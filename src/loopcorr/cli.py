@@ -21,7 +21,7 @@ from typing import Dict, List, Tuple
 
 from . import verify
 from .algebra import CURRENTS_A, CURRENTS_K, SectorConfig, classical_check, star_check
-from .diagrams import enumerate_diagrams, loop_census, to_dot
+from .diagrams import enumerate_diagrams, loop_components, to_dot
 from .errors import LoopcorrError, ParseError, RealizationMismatch
 from .kernels import CirclePoint, XiSequence
 from .renorm import CurrentWord, RenormScheme, evaluate_correlator
@@ -175,16 +175,12 @@ def _cmd_commcheck(args) -> int:
 def _cmd_diagrams(args) -> int:
     word = parse_current_word(args.word)
     cfg = SectorConfig(realization=args.realization, sector=args.sector)
-    realms = {_REALM[nm] for nm in word.names}
-    if realms and realms != {cfg.realization}:
-        raise RealizationMismatch(
-            f"word is {sorted(realms)[0]}-realization, config is {cfg.realization}")
     diags = list(enumerate_diagrams(word.names, cfg))
     dots = [to_dot(d) for d in diags]
-    census = loop_census(word.names, cfg)
     if args.format == "json":
         print(json.dumps({"word": render_word(word.names), "count": len(dots),
-                          "looped": census.looped, "dot": dots}, sort_keys=True))
+                          "looped": sum(1 for d in diags if loop_components(d)),
+                          "dot": dots}, sort_keys=True))
     else:
         print("\n".join(dots))
     return 0

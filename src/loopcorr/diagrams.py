@@ -31,10 +31,10 @@ import logging
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .algebra import CURRENT_CHARGE, EXP_CHARGE, SectorConfig, current_def, primitive_commutator
-from .distributions import Coeff, Expression, Term, charge_vanishes, orient
+from .distributions import Coeff, Expression, Term, UnionFind, charge_vanishes, orient
 from .errors import RealizationMismatch, StructuralViolation
 
 logger = logging.getLogger(__name__)
@@ -317,71 +317,38 @@ def correlator_expression(word: Sequence[str], cfg: SectorConfig,
 # ---------------------------------------------------------------------------
 
 
-def loop_components(diagram: Diagram) -> List[Dict[str, object]]:
-    """Connected components of the plain-delta edge graph with their first
-    Betti number and, when there is a cycle, its length.
+class Loop(NamedTuple):
+    """A plain-delta component that closes a cycle: its first Betti number
+    and its sorted cycle pairs (i, j), i < j -- one cycle when betti == 1."""
+
+    betti: int
+    pairs: Tuple[Tuple[int, int], ...]
+
+
+def loop_components(diagram: Diagram) -> List[Loop]:
+    """The components of the plain-delta edge graph that close a cycle.
 
     Only plain (k = 0) solid edges count: terminal hits are delta' edges and
-    dotted edges are not deltas at all.
+    dotted edges are not deltas at all.  An edge whose ends are already
+    joined closes a cycle; once pendant edges are stripped, the cycle edges
+    remain.
     """
-    solid = [e for e in diagram.edges if e.into == "exp"]
-    adj: Dict[int, List[Tuple[int, int]]] = {}
-    for idx, e in enumerate(solid):
-        adj.setdefault(e.source, []).append((e.target, idx))
-        adj.setdefault(e.target, []).append((e.source, idx))
-    seen: Set[int] = set()
-    comps = []
-    for start in sorted(adj):
-        if start in seen:
-            continue
-        stack = [start]
-        verts: Set[int] = set()
-        eidx: Set[int] = set()
-        while stack:
-            v = stack.pop()
-            if v in verts:
-                continue
-            verts.add(v)
-            seen.add(v)
-            for w, ei in adj[v]:
-                eidx.add(ei)
-                if w not in verts:
-                    stack.append(w)
-        betti = len(eidx) - len(verts) + 1
-        cycle_len = 0
-        cycle_vertices: List[int] = []
-        cycle_pairs: List[Tuple[int, int]] = []
-        if betti == 1:
-            # strip leaves; what remains is the unique cycle
-            deg = Counter()
-            for ei in eidx:
-                deg[solid[ei].source] += 1
-                deg[solid[ei].target] += 1
-            live = dict(deg)
-            edges_left = {ei for ei in eidx}
-            changed = True
-            while changed:
-                changed = False
-                for ei in list(edges_left):
-                    e = solid[ei]
-                    if live.get(e.source, 0) == 1 or live.get(e.target, 0) == 1:
-                        edges_left.discard(ei)
-                        live[e.source] -= 1
-                        live[e.target] -= 1
-                        changed = True
-            cycle_len = len(edges_left)
-            on_cycle: Set[int] = set()
-            for ei in edges_left:
-                e = solid[ei]
-                on_cycle.update((e.source, e.target))
-                cycle_pairs.append((min(e.source, e.target),
-                                    max(e.source, e.target)))
-            cycle_vertices = sorted(on_cycle)
-        comps.append({"vertices": sorted(verts), "edges": len(eidx),
-                      "betti": betti, "cycle": cycle_len,
-                      "cycle_vertices": cycle_vertices,
-                      "cycle_pairs": sorted(cycle_pairs)})
-    return comps
+    pairs = [(e.source, e.target) if e.source < e.target else (e.target, e.source)
+             for e in diagram.edges if e.into == "exp"]
+    uf = UnionFind()
+    closing = [i for (i, j) in pairs if not uf.union(i, j)]
+    if not closing:
+        return []
+    while True:
+        ends = list(itertools.chain.from_iterable(pairs))
+        core = [(i, j) for (i, j) in pairs if ends.count(i) > 1 and ends.count(j) > 1]
+        if len(core) == len(pairs):
+            break
+        pairs = core
+    roots = [uf.find(i) for i in closing]
+    pairs.sort()
+    return [Loop(roots.count(r), tuple(pair for pair in pairs if uf.find(pair[0]) == r))
+            for r in sorted(set(roots))]
 
 
 @dataclass
@@ -417,15 +384,12 @@ def loop_census(word: Sequence[str], cfg: SectorConfig) -> CensusReport:
     for combo in itertools.product(*per_vertex):
         for edges in _resolve_stubs(combo, cfg):
             total += 1
-            d = Diagram(word, combo, edges)
-            comps = loop_components(d)
-            has = False
-            for comp in comps:
-                max_betti = max(max_betti, comp["betti"])
-                if comp["betti"] >= 1 and comp["cycle"]:
-                    loops[comp["cycle"]] += 1
-                    has = True
-            looped += int(has)
+            found = loop_components(Diagram(word, combo, edges))
+            for loop in found:
+                max_betti = max(max_betti, loop.betti)
+                if loop.betti == 1:
+                    loops[len(loop.pairs)] += 1
+            looped += bool(found)
     return CensusReport(word, total, looped, loops, max_betti)
 
 

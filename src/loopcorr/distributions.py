@@ -761,24 +761,14 @@ def _star_moves(t: Term, on_circle, realization) -> Optional[List[Term]]:
     if not adj:
         return None
 
-    # components, BFS trees from the minimal node, deepest-first node order
+    # components, BFS trees from the minimal node, deepest-first node order;
+    # in sorted order the first unseen node is its component's minimum
     seen = set()
     proc: List[Tuple[int, int]] = []  # (node, parent)
     needed = False
-    for start in sorted(adj):
-        if start in seen:
+    for root in sorted(adj):
+        if root in seen:
             continue
-        comp = [start]
-        seen.add(start)
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for (w, _tok) in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    comp.append(w)
-                    stack.append(w)
-        root = min(comp)
         parent: Dict[int, Optional[int]] = {root: None}
         depth = {root: 0}
         frontier = [root]
@@ -791,7 +781,8 @@ def _star_moves(t: Term, on_circle, realization) -> Optional[List[Term]]:
                         depth[w] = depth[v] + 1
                         nxt.append(w)
             frontier = nxt
-        nodes = [v for v in comp if v != root]
+        seen.update(parent)
+        nodes = [v for v in parent if v != root]
         nodes.sort(key=lambda v: (-depth[v], -v))
         for x in nodes:
             p = parent[x]

@@ -134,17 +134,19 @@ def renormalize_loop(vertices: Sequence[int], k: int) -> Tuple[Coeff, Tuple]:
 
 def renormalize_diagram(diagram: Diagram, cfg: SectorConfig) -> List[Term]:
     """Weight terms of one diagram with every delta cycle substituted."""
-    cycles = [c for c in loop_components(diagram) if c["betti"] >= 1]
-    if any(c["betti"] > 1 for c in cycles):
+    loops = loop_components(diagram)
+    if not loops:
+        return diagram_weight(diagram, cfg)
+    if any(loop.betti > 1 for loop in loops):
         raise StructuralViolation("a contraction component acquired two independent cycles")
     factor = Coeff.unit()
     removed: List[Tuple[int, int, int]] = []
     chain: List[Tuple[int, int, int]] = []
-    for c in cycles:
-        mu_c, chain_c = renormalize_loop(c["cycle_vertices"], c["cycle"])
+    for loop in loops:
+        mu_c, chain_c = renormalize_loop(sorted(set().union(*loop.pairs)), len(loop.pairs))
         factor = factor * mu_c
         chain.extend(chain_c)
-        removed.extend((i, j, 0) for (i, j) in c["cycle_pairs"])
+        removed.extend((i, j, 0) for (i, j) in loop.pairs)
     out = []
     for t in diagram_weight(diagram, cfg):
         deltas = list(t.deltas)

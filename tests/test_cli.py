@@ -90,6 +90,15 @@ def test_diagrams_emit_dot(capsys):
     assert data["looped"] == 0
 
 
+def test_diagrams_json_counts_looped_emitted_diagrams(capsys):
+    # "looped" counts the emitted diagrams that carry a loop, in the same
+    # units as "count" (not the stub structures of a loop census)
+    assert main(["diagrams", "Jp(1) Jm(2) Jp(3) Jm(4)", "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["count"] == 778
+    assert data["looped"] == 199
+
+
 def test_diagrams_realization_guard(capsys):
     assert main(["diagrams", "E(1) F(2)", "--realization", "K"]) == 2
     err = json.loads(capsys.readouterr().err)

@@ -6,8 +6,10 @@ kernels, must reproduce the mode-model oracle exactly -- off the circle,
 in every realization, with and without the unitary dotted pairing.
 """
 
+import importlib.util
 import itertools
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +18,9 @@ import sympy as sp
 from loopcorr.algebra import SectorConfig
 from loopcorr.diagrams import (
     Diagram,
+    Edge,
+    Loop,
+    VertexChoice,
     correlator_expression,
     correlator_terms,
     diagram_weight,
@@ -201,7 +206,35 @@ def test_structural_invariants():
                 else:
                     assert e.source > e.target
             for comp in loop_components(d):
-                assert comp["betti"] <= 1
+                assert comp.betti <= 1
+
+
+def _solid_diagram(n, solid, dotted=()):
+    """A hand-built diagram on n charged insertions: plain delta edges for
+    ``solid``, dotted stub pairings for ``dotted``."""
+    choices = tuple(VertexChoice(i, "J+", Coeff.unit(), charge=1) for i in range(n))
+    edges = tuple([Edge("a", s, t, "exp") for (s, t) in solid]
+                  + [Edge("dot", s, t, "stub") for (s, t) in dotted])
+    return Diagram(("J+",) * n, choices, edges)
+
+
+def test_loop_components_two_cycles_in_one_component():
+    loops = loop_components(_solid_diagram(3, [(0, 1), (1, 0), (1, 2), (2, 1)]))
+    assert len(loops) == 1
+    assert loops[0].betti == 2
+
+
+def test_loop_components_disjoint_cycles():
+    d = _solid_diagram(5, [(0, 1), (1, 0), (2, 3), (3, 4), (4, 2)])
+    assert loop_components(d) == [Loop(1, ((0, 1), (0, 1))),
+                                  Loop(1, ((2, 3), (2, 4), (3, 4)))]
+
+
+def test_loop_components_strip_pendant_edges():
+    # the pendant edge 2-3 is stripped; the dotted edge 0-3 is no delta
+    d = _solid_diagram(4, [(0, 1), (1, 2), (2, 0), (2, 3)], dotted=[(0, 3)])
+    assert loop_components(d) == [Loop(1, ((0, 1), (0, 2), (1, 2)))]
+    assert loop_components(_solid_diagram(4, [(0, 1), (1, 2), (2, 3)])) == []
 
 
 def test_loop_census_two_point():
@@ -219,6 +252,25 @@ def test_loop_census_no_multiloop_components():
         rep = loop_census(word, cfg)
         assert rep.max_betti <= 1, word
         assert rep.diagrams > 0
+
+
+def _bruteforce_census():
+    """``perfbench/bruteforce.py``, a loop census written apart from
+    ``loopcorr.diagrams``, loaded by path."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "bruteforce.py"
+    spec = importlib.util.spec_from_file_location("bruteforce", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.census
+
+
+def test_loop_census_matches_bruteforce():
+    census = _bruteforce_census()
+    for cfg, names in ((K, ("J+", "J-", "J3")), (A, ("E", "F", "H"))):
+        for n in range(1, 5):
+            for word in itertools.product(names, repeat=n):
+                rep = loop_census(word, cfg)
+                assert (rep.diagrams, rep.looped, rep.max_betti) == census(word), word
 
 
 def test_to_dot_smoke():

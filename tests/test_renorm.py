@@ -6,9 +6,9 @@ import pytest
 
 from loopcorr import renorm
 from loopcorr.algebra import SectorConfig
-from loopcorr.diagrams import Diagram, Edge, VertexChoice, enumerate_diagrams
+from loopcorr.diagrams import Diagram, Edge, VertexChoice, diagram_weight, enumerate_diagrams
 from loopcorr.distributions import Coeff, canonicalize, detect_singular
-from loopcorr.errors import MissingMu
+from loopcorr.errors import MissingMu, StructuralViolation
 from loopcorr.kernels import CirclePoint, XiSequence
 from loopcorr.renorm import (
     CurrentWord,
@@ -189,6 +189,19 @@ def test_dotted_filter_rules():
     assert dotted_filter(d, "either-side")
     # no dotted edges: vacuous
     assert dotted_filter(_hand_diagram([1, -1], [(0, 1)], []))
+
+
+def test_renormalize_diagram_rejects_two_cycles_in_one_component():
+    d = _hand_diagram([1, -1, 1], [(0, 1), (1, 0), (1, 2), (2, 1)], [])
+    with pytest.raises(StructuralViolation):
+        renorm.renormalize_diagram(d, K)
+
+
+def test_loop_free_diagram_renormalizes_to_its_weight():
+    d = _hand_diagram([1, -1, 1], [(0, 1), (1, 2)], [])
+    weight = diagram_weight(d, K)
+    assert weight
+    assert renorm.renormalize_diagram(d, K) == weight
 
 
 def test_dotted_scheme_drops_unbalanced_two_point():
