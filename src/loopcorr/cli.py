@@ -187,6 +187,8 @@ def _cmd_diagrams(args) -> int:
 
 
 def _cmd_gram(args) -> int:
+    if args.degree < 0:
+        raise ValueError(f"--degree must be >= 0, got {args.degree}")
     words = [parse_current_word(w) for w in args.words]
     test = {m: 1.0 for m in range(-args.degree, args.degree + 1)}
     entries = [(w.names, [dict(test) for _ in w.names]) for w in words]

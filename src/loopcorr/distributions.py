@@ -866,15 +866,43 @@ def smear(expr: Expression, tests: Dict[int, Dict[int, complex]], seq: XiSequenc
     The expression is canonicalized first (singular terms raise).  On-circle
     delta stars turn into derivative products of the member tests attached
     to the root; whatever analytic structure remains is integrated on a
-    periodic trapezoid grid (spectrally accurate), with kernels evaluated by
-    their truncated mode sums.  Scalar parameters substitute numerically.
+    periodic trapezoid grid of ``grid`` points per variable (spectrally
+    accurate), with kernels evaluated by their mode sums truncated at
+    ``trunc``.  Scalar parameters substitute numerically.
+
+    Cost: every remaining factor depends on one or two variables, so each
+    term is one ``einsum`` contraction of a ``grid``-vector per variable with
+    a ``grid x grid`` matrix per coupled pair; memory is O(pairs * grid^2)
+    rather than the O(grid^m) of a dense grid over m variables.  Pair
+    matrices and coincident-point constants are computed once per call.
+    Raises ``ValueError`` for ``grid < 1`` or ``trunc < 0``.
     """
+    if grid < 1 or trunc < 0:
+        raise ValueError(f"smear needs grid >= 1 and trunc >= 0, "
+                         f"got grid={grid}, trunc={trunc}")
     e = canonicalize(expr)
     missing = set()
     for t in e.terms:
         missing |= t.indices() - set(tests)
     if missing:
         raise ValueError(f"no test function for indices {sorted(missing)}")
+
+    theta = 2.0 * np.pi * np.arange(grid) / grid
+    memo: Dict[tuple, object] = {}
+
+    def series(family: str, k: int, i: int, j: int):
+        """mode_series of a factor on (i, j): a constant at coincident
+        points (x = y = r^2), else the grid x grid matrix over (u_i, u_j)."""
+        key = (family, k, i, j)
+        if key not in memo:
+            if i == j:
+                x = y = float(e.radius(i)) ** 2
+            else:
+                rr = float(e.radius(i)) * float(e.radius(j))
+                x = rr * np.exp(1j * np.subtract.outer(theta, theta))
+                y = np.conj(x)
+            memo[key] = mode_series(x, y, k, family, seq, trunc)
+        return memo[key]
 
     total = 0.0 + 0.0j
     for t in e.terms:
@@ -908,8 +936,7 @@ def smear(expr: Expression, tests: Dict[int, Dict[int, complex]], seq: XiSequenc
         const = 1.0 + 0.0j
         for (family, k, i, j) in t.smooth_factors():
             if i == j:
-                r2 = float(e.radius(i)) ** 2
-                const *= mode_series(r2, r2, k, family, seq, trunc)
+                const *= series(family, k, i, j)
             else:
                 factors.append((family, k, i, j))
         if const == 0:
@@ -924,51 +951,33 @@ def smear(expr: Expression, tests: Dict[int, Dict[int, complex]], seq: XiSequenc
             total += scalar * val
             continue
 
-        total += scalar * const * _grid_integral(e, t, g, factors, variables,
-                                                 seq, trunc, grid)
+        total += scalar * const * _grid_integral(e.realization, t.exps, g, factors,
+                                                 variables, series, theta)
     return total
 
 
-def _grid_integral(e: Expression, t: Term, g, factors, variables,
-                   seq: XiSequence, trunc: int, grid: int) -> complex:
-    m = len(variables)
-    axis = {v: a for a, v in enumerate(variables)}
-    theta = 2.0 * np.pi * np.arange(grid) / grid
-
-    def var_grid(v: int) -> np.ndarray:
-        shape = [1] * m
-        shape[axis[v]] = grid
-        return theta.reshape(shape)
-
-    integrand = np.ones((1,) * m, dtype=complex)
-    for v in variables:
-        th = var_grid(v)
-        fv = np.zeros_like(th, dtype=complex)
-        for mode, c in g[v].items():
-            fv = fv + c * np.exp(1j * mode * th)
-        integrand = integrand * fv
-
-    def pair_w(i: int, j: int) -> np.ndarray:
-        rr = float(e.radius(i)) * float(e.radius(j))
-        return rr * np.exp(1j * (var_grid(i) - var_grid(j)))
-
+def _grid_integral(realization, exps, g, factors, variables, series, theta) -> complex:
+    """Grid mean of the test vectors of ``variables`` times every pair
+    factor times exp(+-[sum_a q_a^2 N(r_a^2)/2 + sum_{a<b} q_a q_b N(w_ab)]):
+    one scalar, one matrix per pair, one einsum."""
+    pairs: Dict[Tuple[int, int], np.ndarray] = {}
     for (family, k, i, j) in factors:
-        w = pair_w(i, j)
-        integrand = integrand * mode_series(w, np.conj(w), k, family, seq, trunc)
-
-    if t.exps:
-        tag = "NK" if e.realization == "K" else "NA"
-        sign = -1.0 if e.realization == "K" else 1.0
-        expo = np.zeros((1,) * m, dtype=complex)
-        entries = list(t.exps)
-        for a in range(len(entries)):
-            pa, qa = entries[a]
-            r2 = float(e.radius(pa)) ** 2
-            expo = expo + 0.5 * qa * qa * mode_series(r2, r2, 0, tag, seq, trunc)
-            for b in range(a + 1, len(entries)):
-                pb, qb = entries[b]
-                w = pair_w(pa, pb)
-                expo = expo + qa * qb * mode_series(w, np.conj(w), 0, tag, seq, trunc)
-        integrand = integrand * np.exp(sign * expo)
-
-    return complex(integrand.mean())
+        pairs[i, j] = pairs.get((i, j), 1.0) * series(family, k, i, j)
+    scale = 1.0 + 0.0j
+    if exps:
+        tag, sign = ("NK", -1.0) if realization == "K" else ("NA", 1.0)
+        for a, (pa, qa) in enumerate(exps):
+            scale *= np.exp(sign * 0.5 * qa * qa * series(tag, 0, pa, pa))
+            for pb, qb in exps[a + 1:]:
+                pair = np.exp(sign * qa * qb * series(tag, 0, pa, pb))
+                pairs[pa, pb] = pairs.get((pa, pb), 1.0) * pair
+    axis = {v: a for a, v in enumerate(variables)}
+    operands = []
+    for v in variables:
+        fv = sum((c * np.exp(1j * mode * theta) for mode, c in g[v].items()),
+                 np.zeros(len(theta), dtype=complex))
+        operands += [fv, [axis[v]]]
+    for (i, j), mat in pairs.items():
+        operands += [mat, [axis[i], axis[j]]]
+    mean = np.einsum(*operands, [], optimize="greedy") / len(theta) ** len(variables)
+    return scale * complex(mean)

@@ -372,6 +372,8 @@ def gaussian_oracle(names: Sequence[str], points: Sequence[CirclePoint],
     pts = dict(enumerate(points))
     if len(pts) != len(names):
         raise ValueError("need exactly one point per insertion")
+    if trunc < 0:
+        raise ValueError(f"the mode truncation must be >= 0, got {trunc}")
     xi0 = _xi0(seq, exact)
     expansions: List[List[Tuple[object, Tuple[Tuple[str, int], ...]]]] = []
     for k, nm in enumerate(names):
@@ -733,9 +735,14 @@ def gram_matrix(entries: Sequence[Tuple[Sequence[str], Sequence[Mapping[int, com
     slot.  Row words are starred and reversed (with conjugated tests), the
     concatenation is evaluated through the full pipeline, and the smeared
     number is reported.  Exploration output: eigenvalue signs are counted,
-    nothing is asserted about positivity.
+    nothing is asserted about positivity.  Raises ``ValueError`` for
+    ``grid < 1`` or ``trunc < 0``, as :func:`smear` does.
     """
     import numpy as np
+
+    if grid < 1 or trunc < 0:
+        raise ValueError(f"gram_matrix needs grid >= 1 and trunc >= 0, "
+                         f"got grid={grid}, trunc={trunc}")
 
     nb = len(entries)
     G = np.zeros((nb, nb), dtype=complex)

@@ -1,16 +1,17 @@
 """Algebraic laws of ``canonicalize`` on the raw renormalized terms of random
 K and A words of length <= 4 in either sector: the canonical form does not
 depend on the order of the terms, is a fixed point, and can be taken of any
-part of a sum first."""
+part of a sum first.  The JSON encoding round-trips byte for byte."""
 
 import functools
+from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
 from loopcorr.algebra import CURRENTS_A, CURRENTS_K, SectorConfig
 from loopcorr.diagrams import enumerate_diagrams
 from loopcorr.distributions import Expression, canonicalize
-from loopcorr.renorm import renormalize_diagram
+from loopcorr.renorm import CurrentWord, RenormScheme, evaluate_correlator, renormalize_diagram
 
 LAWS = settings(max_examples=25, deadline=None, derandomize=True, database=None)
 
@@ -58,3 +59,43 @@ def test_additivity(raw, rnd):
         (a if rnd.random() < 0.5 else b).append(t)
     a, b = Expression(a, realization), Expression(b, realization)
     assert canonicalize(a + b).to_json() == canonicalize(canonicalize(a) + b).to_json()
+
+
+@st.composite
+def evaluated_expressions(draw):
+    """Renormalized correlator of a random word of length 1 to 4 under a
+    random scheme (drop-loops, a mu family, or the dotted pairing in the
+    unitary sector), each insertion at radius 1, 1/2 or 2/3."""
+    realization = draw(st.sampled_from(("K", "A")))
+    currents = CURRENTS_K if realization == "K" else CURRENTS_A
+    names = tuple(draw(st.lists(st.sampled_from(currents), min_size=1, max_size=4)))
+    sector = draw(st.sampled_from(("nonunitary", "unitary")))
+    cfg = SectorConfig(realization, sector)
+    radii = tuple(draw(st.sampled_from((Fraction(1), Fraction(1, 2), Fraction(2, 3))))
+                  for _ in names)
+    scales = {k: draw(st.fractions(-3, 3, max_denominator=7)) for k in range(2, 5)}
+    default = draw(st.fractions(-3, 3, max_denominator=7))
+    policies = ["drop-loops", "mu"] + (["unitary-dotted"] if sector == "unitary" else [])
+    policy = draw(st.sampled_from(policies))
+    if policy == "drop-loops":
+        scheme = RenormScheme.drop_loops(cfg)
+    elif policy == "mu":
+        scheme = RenormScheme.mu_family(cfg, entries=scales, default=default)
+    else:
+        scheme = RenormScheme.unitary_dotted(cfg, entries=scales, default=default)
+    return evaluate_correlator(CurrentWord(names, radii), scheme)
+
+
+@LAWS
+@given(evaluated_expressions())
+def test_json_round_trip_is_byte_exact(e):
+    text = e.to_json()
+    assert Expression.from_json(text).to_json() == text
+
+
+@LAWS
+@given(raw_expressions())
+def test_json_round_trip_of_raw_terms(raw):
+    terms, realization = raw
+    text = Expression(terms, realization, {0: Fraction(1, 3), 1: 0.5}).to_json()
+    assert Expression.from_json(text).to_json() == text

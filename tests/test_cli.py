@@ -127,6 +127,20 @@ def test_gram_single_word(capsys):
     assert data["hermiticity_residual"] <= 1e-10
 
 
+@pytest.mark.parametrize("argv", [
+    ["gram", "J3(1)", "--degree", "-1"],
+    ["gram", "J3(1)", "--trunc", "-3"],
+    ["oracle", "ap(1) am(2)", "--trunc", "-3"],
+])
+def test_sizes_that_cannot_be_honoured_are_usage_errors(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "ValueError"
+    assert argv[-2].lstrip("-") in err["message"]
+
+
 def test_selfcheck_small(capsys):
     assert main(["selfcheck", "--context", "0", "--max-len", "1",
                  "--realization", "K", "--format", "text"]) == 0

@@ -14,8 +14,9 @@ from pathlib import Path
 import pytest
 
 import sympy as sp
+from hypothesis import given, settings, strategies as st
 
-from loopcorr.algebra import SectorConfig
+from loopcorr.algebra import CURRENTS_A, CURRENTS_K, SectorConfig
 from loopcorr.diagrams import (
     Diagram,
     Edge,
@@ -30,7 +31,7 @@ from loopcorr.diagrams import (
     to_dot,
     vertex_choices,
 )
-from loopcorr.distributions import Coeff
+from loopcorr.distributions import Coeff, canonicalize
 from loopcorr.errors import RealizationMismatch
 from loopcorr.kernels import CirclePoint, XiSequence
 from loopcorr.verify import expression_value, gaussian_oracle
@@ -184,6 +185,36 @@ def test_completeness_four_point():
     for word, cfg in ((("J+", "J-", "J+", "J-"), K), (("E", "F", "F", "E"), A)):
         got, want = _engine(word, cfg), _oracle(word, cfg)
         assert abs(got - want) < 1e-9, word
+
+
+def _turns(lo):
+    """Rational fractions n/d with lo <= n < d, d <= 12."""
+    return st.integers(2, 12).flatmap(lambda d: st.integers(lo, d - 1).map(
+        lambda n: Fraction(n, d)))
+
+
+@st.composite
+def oracle_cases(draw, realization):
+    """A random word of length 1 to 4 in the currents of ``realization``, one
+    point per insertion at a rational radius in (0, 1) and a rational angle."""
+    currents = CURRENTS_K if realization == "K" else CURRENTS_A
+    names = tuple(draw(st.sampled_from(currents))
+                  for _ in range(draw(st.sampled_from((4, 3, 2, 1)))))
+    points = [CirclePoint(draw(_turns(1)), draw(_turns(0))) for _ in names]
+    return names, points
+
+
+@pytest.mark.parametrize("cfg", [K, A, KU, AU], ids=lambda c: c.realization + c.sector)
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_canonical_engine_matches_oracle_on_random_words(cfg, data):
+    # the workload's tolerance: 1e-8 relative to max(1, |oracle|)
+    names, points = data.draw(oracle_cases(cfg.realization))
+    want = gaussian_oracle(names, points, cfg, SEQ, trunc=N, kappa=KAP, p=P)
+    radii = {k: pt.r for k, pt in enumerate(points)}
+    expr = canonicalize(correlator_expression(names, cfg, radii))
+    got = expression_value(expr, dict(enumerate(points)), SEQ, trunc=N, kappa=KAP, p=P)
+    assert abs(got - want) <= 1e-8 * max(1.0, abs(want)), (names, points)
 
 
 def test_completeness_exact_symbolic_kappa():

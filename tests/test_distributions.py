@@ -2,6 +2,7 @@ import cmath
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st
@@ -16,8 +17,11 @@ from loopcorr.distributions import (
     detect_singular,
     smear,
 )
+from loopcorr.algebra import SectorConfig
 from loopcorr.errors import SingularProduct
 from loopcorr.kernels import XiSequence
+from loopcorr.renorm import RenormScheme
+from loopcorr.verify import gram_matrix
 
 SEQ = XiSequence.geometric(Fraction(1, 2))
 
@@ -323,6 +327,82 @@ def test_smear_exp_token_two_point():
             acc += cmath.exp(1j * th) * cmath.exp(nk - selfe)
     acc /= n * n
     assert abs(val - acc) < 1e-10
+
+
+# Dense reference for the contraction: the integrand of every term on the
+# full grid of all variables (np.meshgrid), with each factor's mode series
+# written out for the geometric sequence xi_n = 2^-n, xi_0 = 1.
+_C = {"NK": (0, lambda n: 0.5 ** n), "NA": (2, lambda n: 0.5 ** n),
+      "D": (0, lambda n: 2.0 ** n), "wavy": (0, lambda n: n), "delta": (1, lambda n: 1)}
+
+
+def _dense_series(x, y, k, family, trunc):
+    c0, c = _C[family]
+    return (c0 if k == 0 else 0) + sum(
+        c(n) * ((1j * n) ** k * x ** n + (-1j * n) ** k * y ** n) for n in range(1, trunc + 1))
+
+
+def _dense_smear(e, tests, trunc, grid):
+    idx = sorted(tests)
+    axes = np.meshgrid(*[2 * np.pi * np.arange(grid) / grid] * len(idx), indexing="ij")
+    z = {v: float(e.radius(v)) * np.exp(1j * th) for v, th in zip(idx, axes)}
+    total = 0j
+    for t in e.terms:
+        f = t.coeff.subs_numeric() * np.ones(axes[0].shape)
+        for v, th in zip(idx, axes):
+            f = f * sum(c * np.exp(1j * m * th) for m, c in tests[v].items())
+        factors = [("delta", k, i, j) for (i, j, k) in t.deltas] + t.smooth_factors()
+        for (family, k, i, j) in factors:
+            f = f * _dense_series(z[i] * np.conj(z[j]), np.conj(z[i]) * z[j], k, family, trunc)
+        if t.exps:
+            tag, sign = ("NK", -1) if e.realization == "K" else ("NA", 1)
+            expo = 0
+            for (a, qa) in t.exps:
+                for (b, qb) in t.exps:
+                    if a <= b:
+                        n = _dense_series(z[a] * np.conj(z[b]), np.conj(z[a]) * z[b], 0, tag, trunc)
+                        expo = expo + (0.5 if a == b else 1) * qa * qb * n
+            f = f * np.exp(sign * expo)
+        total += f.mean()
+    return total
+
+
+def test_smear_contraction_matches_dense_quadrature():
+    radii = {1: Fraction(1, 2), 2: Fraction(3, 4), 3: Fraction(2, 3), 4: Fraction(3, 5)}
+    tests = {1: {1: 1, -2: 0.5j}, 2: {-1: 1, 0: 0.3}, 3: {0: 1, 2: -0.4 + 0.1j},
+             4: {-2: 0.7, 0: 0.5, 1: 0.2}}
+    cases = [
+        # two factors on the pair (1, 2), a coincident constant, a wavy and a
+        # dotted factor
+        (term(1, kers=(("NK", 0, 1, 2), ("NK", 1, 1, 2), ("NK", 2, 3, 3)),
+              wavys=((0, 2, 3),), dots=((1, 1, 3),)), "K"),
+        # an analytic delta inside the disc and a three-point K exponential
+        (term(2, -1, deltas=((1, 3, 1),), kers=(("NK", 0, 2, 4),),
+              exps=((1, 1), (2, 1), (4, -2))), "K"),
+        # a two-point A exponential sharing its pair with a kernel
+        (term(0, 1, deltas=((2, 3, 0),), kers=(("NA", 0, 1, 1), ("NA", 0, 1, 4)),
+              wavys=((1, 2, 4),), exps=((1, 1), (4, 2))), "A"),
+    ]
+    for t, realization in cases:
+        e = expr([t], realization, radii)
+        assert canonicalize(e).terms == [t]
+        for grid in (12, 16):
+            got = smear(e, tests, SEQ, trunc=6, grid=grid)
+            want = _dense_smear(e, tests, 6, grid)
+            assert abs(want) > 1e-3
+            assert abs(got - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize("sizes", [{"grid": 0}, {"grid": -4}, {"trunc": -1}])
+def test_smear_rejects_sizes_it_cannot_honour(sizes):
+    t = term(1, kers=(("NK", 0, 1, 2),))
+    with pytest.raises(ValueError):
+        smear(expr([t]), {1: {1: 1}, 2: {-1: 1}}, SEQ, **sizes)
+    scheme = RenormScheme.drop_loops(SectorConfig("K", "nonunitary"))
+    with pytest.raises(ValueError):
+        gram_matrix([(("J3",), [{0: 1}])], scheme, SEQ, **sizes)
+    with pytest.raises(ValueError):
+        gram_matrix([], scheme, SEQ, **sizes)
 
 
 def test_singular_term_cannot_be_smeared():
