@@ -169,11 +169,12 @@ def expand_current(name: str, index: int, cfg: SectorConfig) -> List[PrimitiveTe
 @dataclass(frozen=True)
 class CommPart:
     """One term of a primitive commutator: coefficient, distribution tokens
+    (deltas and smooth factors, as in :class:`loopcorr.distributions.Term`)
     and surviving operator letters (letter, index)."""
 
     coeff: Coeff
     deltas: Tuple[Tuple[int, int, int], ...] = ()
-    dots: Tuple[Tuple[int, int, int], ...] = ()
+    smooth: Tuple[Tuple[str, int, int, int], ...] = ()
     letters: Tuple[Tuple[str, int], ...] = ()
 
 
@@ -193,7 +194,7 @@ def primitive_commutator(left: str, right: str, i: int, j: int,
         half = []
         for part in (primitive_commutator(A_, right, i, j, cfg)
                      + primitive_commutator(B_, right, i, j, cfg)):
-            half.append(CommPart(part.coeff.scale(HALF), part.deltas, part.dots, part.letters))
+            half.append(CommPart(part.coeff.scale(HALF), part.deltas, part.smooth, part.letters))
         return half
     if left not in (A_, B_):
         raise ValueError(f"commutators are implemented from the a/b side, got {left!r}")
@@ -207,14 +208,14 @@ def primitive_commutator(left: str, right: str, i: int, j: int,
         if not cfg.unitary:
             return []
         sign = 1 if (left, right) == (A_, B_) else -1
-        parts = [CommPart(Coeff.complex_rat(sign), dots=((0, lo, hi),))]
+        parts = [CommPart(Coeff.complex_rat(sign), smooth=(("D", 0, lo, hi),))]
         if cfg.realization == "A":
             parts.append(CommPart(Coeff.unit(xi0=-1, re=Fraction(sign, 2))))
         return parts
     if right == H_:
         out = []
         for part in primitive_commutator(left, A_, i, j, cfg) + primitive_commutator(left, B_, i, j, cfg):
-            out.append(CommPart(part.coeff.scale(HALF), part.deltas, part.dots, part.letters))
+            out.append(CommPart(part.coeff.scale(HALF), part.deltas, part.smooth, part.letters))
         return out
     if right == RHO:
         return []

@@ -149,8 +149,7 @@ def _cmd_eval(args) -> int:
     data["word"] = render_word(word.names)
     lines = [f"word: {data['word']}", f"terms: {len(expr.terms)}"]
     for t in expr.terms:
-        lines.append(f"  deltas={list(t.deltas)} kers={list(t.kers)} wavys={list(t.wavys)} "
-                     f"dots={list(t.dots)} exps={list(t.exps)}")
+        lines.append(f"  deltas={list(t.deltas)} smooth={list(t.smooth)} exps={list(t.exps)}")
     _emit(args, data, lines)
     return 0
 
@@ -176,13 +175,13 @@ def _cmd_diagrams(args) -> int:
     word = parse_current_word(args.word)
     cfg = SectorConfig(realization=args.realization, sector=args.sector)
     diags = list(enumerate_diagrams(word.names, cfg))
-    dots = [to_dot(d) for d in diags]
+    drawings = [to_dot(d) for d in diags]
     if args.format == "json":
-        print(json.dumps({"word": render_word(word.names), "count": len(dots),
+        print(json.dumps({"word": render_word(word.names), "count": len(drawings),
                           "looped": sum(1 for d in diags if loop_components(d)),
-                          "dot": dots}, sort_keys=True))
+                          "dot": drawings}, sort_keys=True))
     else:
-        print("\n".join(dots))
+        print("\n".join(drawings))
     return 0
 
 

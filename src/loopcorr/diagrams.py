@@ -34,7 +34,8 @@ from fractions import Fraction
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .algebra import CURRENT_CHARGE, EXP_CHARGE, SectorConfig, current_def, primitive_commutator
-from .distributions import Coeff, Expression, Term, UnionFind, charge_vanishes, orient
+from .distributions import (Coeff, Expression, Term, UnionFind, charge_vanishes, gaussian_rule,
+                            orient)
 from .errors import RealizationMismatch, StructuralViolation
 
 logger = logging.getLogger(__name__)
@@ -195,7 +196,8 @@ def enumerate_diagrams(word: Sequence[str], cfg: SectorConfig) -> Iterator[Diagr
 
 def _edge_parts(edge: Edge, choices: Sequence[VertexChoice], cfg: SectorConfig
                 ) -> List[Tuple[Coeff, Tuple, Tuple]]:
-    """(coeff, delta tokens, dotted tokens) alternatives for one edge."""
+    """(coeff, delta tokens, smooth tokens) alternatives for one edge: the
+    primitive commutator of the edge's stub with its target letter."""
     tc = choices[edge.target]
     if edge.into == "exp":
         letter = {("K", 1): "alpha+", ("K", -1): "alpha-",
@@ -211,29 +213,27 @@ def _edge_parts(edge: Edge, choices: Sequence[VertexChoice], cfg: SectorConfig
     for part in parts:
         if part.letters and edge.into != "exp":
             raise StructuralViolation("unexpected surviving letters on an edge")
-        out.append((part.coeff.scale(sign), part.deltas, part.dots))
+        out.append((part.coeff.scale(sign), part.deltas, part.smooth))
     return out
 
 
 def _terminal_branches(unhit: Sequence[int], charges: Sequence[Tuple[int, int]],
                        realization: str) -> List[Tuple[Coeff, Tuple]]:
     """Isserlis expansion of unconsumed terminals: (coeff, kernel tokens)."""
-    tag = "NK" if realization == "K" else "NA"
-    pair_sign = 1 if realization == "K" else -1
+    family, sign = gaussian_rule(realization)
     if not unhit:
         return [(Coeff.unit(), ())]
     v, rest = unhit[0], list(unhit[1:])
     out: List[Tuple[Coeff, Tuple]] = []
     for k, w in enumerate(rest):
         for c2, toks in _terminal_branches(rest[:k] + rest[k + 1:], charges, realization):
-            out.append((c2.scale(pair_sign), ((tag, 2, v, w),) + toks))
+            out.append((c2.scale(-sign), ((family, 2, v, w),) + toks))
     for s, q in charges:
         if s == v:
             raise StructuralViolation("terminal and exponential at one vertex")
         a, b, flip = orient(v, s, 1)
-        emit = (-q if realization == "K" else q) * flip
         for c2, toks in _terminal_branches(rest, charges, realization):
-            out.append((c2.scale(emit), ((tag, 1, a, b),) + toks))
+            out.append((c2.scale(sign * q * flip), ((family, 1, a, b),) + toks))
     # a terminal with no partner and no charge to radiate against kills the
     # term, which the empty list encodes
     return out
@@ -246,27 +246,27 @@ def diagram_weight(diagram: Diagram, cfg: SectorConfig) -> List[Term]:
     for ch in diagram.choices:
         coeff = coeff * ch.coeff
 
-    variants: List[Tuple[Coeff, List, List, List]] = [(coeff, [], [], [])]
+    variants: List[Tuple[Coeff, List, List]] = [(coeff, [], [])]
 
     for edge in diagram.edges:
         parts = _edge_parts(edge, diagram.choices, cfg)
-        variants = [(c * pc, ds + list(pd), dt + list(pt), ws)
-                    for (c, ds, dt, ws) in variants
-                    for (pc, pd, pt) in parts]
+        variants = [(c * pc, ds + list(pd), sm + list(ps))
+                    for (c, ds, sm) in variants
+                    for (pc, pd, ps) in parts]
 
     kappa_re = Coeff.unit(kappa=1)
     for (i, j) in diagram.rho_pairs:
         lo, hi = min(i, j), max(i, j)
         ctr_im = Fraction(-1 if cfg.realization == "K" else 1)
         new = []
-        for (c, ds, dt, ws) in variants:
-            new.append((c * kappa_re, ds, dt, ws + [(0, lo, hi)]))
+        for (c, ds, sm) in variants:
+            new.append((c * kappa_re, ds, sm + [("wavy", 0, lo, hi)]))
             ctr = c * Coeff.unit(kappa=1, re=0, im=ctr_im)
-            new.append((ctr, ds + [(lo, hi, 1)], dt, ws))
+            new.append((ctr, ds + [(lo, hi, 1)], sm))
         variants = new
     if diagram.rho_singles:
         pfac = Coeff.unit(p=len(diagram.rho_singles))
-        variants = [(c * pfac, ds, dt, ws) for (c, ds, dt, ws) in variants]
+        variants = [(c * pfac, ds, sm) for (c, ds, sm) in variants]
 
     hit = {e.target for e in diagram.edges if e.into == "terminal"}
     unhit = sorted(ch.position for ch in diagram.choices
@@ -279,16 +279,14 @@ def diagram_weight(diagram: Diagram, cfg: SectorConfig) -> List[Term]:
     exps = tuple(sorted(charges))
 
     out: List[Term] = []
-    for (c, ds, dt, ws) in variants:
+    for (c, ds, sm) in variants:
         for tc, toks in term_branches:
             cc = c * tc
             if cc.is_zero:
                 continue
             out.append(Term(coeff=cc,
                             deltas=tuple(sorted(ds)),
-                            kers=tuple(sorted(toks)),
-                            wavys=tuple(sorted(ws)),
-                            dots=tuple(sorted(dt)),
+                            smooth=tuple(sorted(sm + list(toks))),
                             exps=exps,
                             dmarks=dmarks))
     return out

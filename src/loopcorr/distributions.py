@@ -2,16 +2,18 @@
 
 A correlator evaluates to a finite sum of terms.  Each term is a product of
 
-* a scalar coefficient -- an exact complex polynomial in kappa, p, lambda,
-  xi_0 and the loop constants mu_k (Fractions throughout, no floats);
-* delta factors  d^k/du_i^k delta(u_i - u_j);
-* kernel factors N_K / N_A and their angle derivatives, including the
-  constants N^(k)(0) that appear when both endpoints coincide;
-* wavy factors W (the |n|-weighted mode sum from rho-pairs) and dotted
-  factors D (inverse-xi mode sums), again with derivatives;
+* a scalar coefficient -- an exact complex polynomial in kappa, p, xi_0 and
+  the loop constants mu_k (Fractions throughout, no floats), serialized as
+  monomials ``[[kappa, p, xi0], [[k, mu_k power], ...], re, im]``;
+* delta factors  d^k/du_i^k delta(u_i - u_j)  (JSON key ``deltas``);
+* smooth factors (JSON key ``smooth``): the k-th angle derivative of one
+  truncated mode series (:func:`loopcorr.kernels.mode_series`) of a family
+  ``NK`` / ``NA`` (kernels), ``wavy`` (the |n|-weighted sum from rho-pairs)
+  or ``D`` (the dotted inverse-xi sum), including the constants at
+  coincident endpoints;
 * one exponential factor exp(+-[sum_{s<t} q_s q_t N(s,t) + 1/2 sum q_s^2
-  N(s,s)]) carrying the surviving exponential charges (minus sign and a
-  charge-balance constraint in the K realization, plus sign in A);
+  N(s,s)]) carrying the surviving exponential charges (see
+  :func:`gaussian_rule`; a charge-balance constraint in the K realization);
 * pending derivative markers d/du_t to be expanded during canonicalization.
 
 Indices are insertion points; each has a radius (1 = on the circle, where
@@ -43,25 +45,24 @@ from .kernels import XiSequence, mode_series
 logger = logging.getLogger(__name__)
 
 # ---------------------------------------------------------------------------
-# coefficients: exact complex polynomials in kappa, p, lambda, xi0, mu_k
+# coefficients: exact complex polynomials in kappa, p, xi0, mu_k
 # ---------------------------------------------------------------------------
 
-# monomial: (kappa_pow, p_pow, lambda_pow, xi0_pow, ((k, pow), ...))
-Mono = Tuple[int, int, int, int, Tuple[Tuple[int, int], ...]]
-MONO_ONE: Mono = (0, 0, 0, 0, ())
+# monomial: (kappa_pow, p_pow, xi0_pow, ((k, pow), ...))
+Mono = Tuple[int, int, int, Tuple[Tuple[int, int], ...]]
+MONO_ONE: Mono = (0, 0, 0, ())
 
 _ZERO = Fraction(0)
 
 
 def _mono_mul(m1: Mono, m2: Mono) -> Mono:
-    mu: Dict[int, int] = dict(m1[4])
-    for k, e in m2[4]:
+    mu: Dict[int, int] = dict(m1[3])
+    for k, e in m2[3]:
         mu[k] = mu.get(k, 0) + e
     return (
         m1[0] + m2[0],
         m1[1] + m2[1],
         m1[2] + m2[2],
-        m1[3] + m2[3],
         tuple(sorted((k, e) for k, e in mu.items() if e)),
     )
 
@@ -94,7 +95,7 @@ class Coeff:
     @classmethod
     def unit(cls, kappa=0, p=0, xi0=0, mu: Optional[Dict[int, int]] = None,
              re=1, im=0) -> "Coeff":
-        mono = (kappa, p, 0, xi0, tuple(sorted((k, e) for k, e in (mu or {}).items() if e)))
+        mono = (kappa, p, xi0, tuple(sorted((k, e) for k, e in (mu or {}).items() if e)))
         re, im = Fraction(re), Fraction(im)
         if re == 0 and im == 0:
             return cls()
@@ -155,6 +156,11 @@ class Coeff:
     def is_zero(self) -> bool:
         return not self.d
 
+    @property
+    def has_mu(self) -> bool:
+        """Whether some monomial carries a loop scale mu_k."""
+        return any(m[3] for m in self.d)
+
     def __eq__(self, other) -> bool:
         return isinstance(other, Coeff) and self.d == other.d
 
@@ -164,11 +170,11 @@ class Coeff:
     # -- rendering --------------------------------------------------------
 
     def to_sympy(self):
-        kappa, p, lam, xi0 = sp.symbols("kappa p lambda_ xi0", positive=True)
+        kappa, p, xi0 = sp.symbols("kappa p xi0", positive=True)
         total = sp.Integer(0)
-        for (ek, ep, el, ex, mus), (re, im) in self.d.items():
+        for (ek, ep, ex, mus), (re, im) in self.d.items():
             c = sp.Rational(re.numerator, re.denominator) + sp.I * sp.Rational(im.numerator, im.denominator)
-            c *= kappa**ek * p**ep * lam**el * xi0**ex
+            c *= kappa**ek * p**ep * xi0**ex
             for k, e in mus:
                 c *= sp.Symbol(f"mu{k}", real=True) ** e
             total += c
@@ -178,21 +184,21 @@ class Coeff:
         """Exact substitution of ``value(k)`` for every loop scale mu_k.
         A coefficient without mu_k monomials is returned as it is, and
         ``value`` is only asked for the scales that occur."""
-        if not any(m[4] for m in self.d):
+        if not self.has_mu:
             return self
         out = Coeff()
-        for (ek, ep, el, ex, mus), (re, im) in self.d.items():
+        for (ek, ep, ex, mus), (re, im) in self.d.items():
             s = math.prod(value(k) ** e for k, e in mus)
-            out = out + Coeff({(ek, ep, el, ex, ()): (re * s, im * s)})
+            out = out + Coeff({(ek, ep, ex, ()): (re * s, im * s)})
         return out
 
-    def subs_numeric(self, kappa=1.0, p=0.0, lam=1.0, xi0=1.0) -> complex:
+    def subs_numeric(self, kappa=1.0, p=0.0, xi0=1.0) -> complex:
         total = 0j
-        for (ek, ep, el, ex, mus), (re, im) in self.d.items():
+        for (ek, ep, ex, mus), (re, im) in self.d.items():
             if mus:
                 raise ValueError("loop scales are substituted before numeric evaluation")
             v = complex(re) + 1j * complex(im)
-            v *= complex(kappa) ** ek * complex(p) ** ep * complex(lam) ** el * complex(xi0) ** ex
+            v *= complex(kappa) ** ek * complex(p) ** ep * complex(xi0) ** ex
             total += v
         return total
 
@@ -221,31 +227,44 @@ def charge_vanishes(realization: Optional[str], charges: Iterable[int]) -> bool:
     return realization == "K" and sum(charges) != 0
 
 
+def gaussian_rule(realization: Optional[str]) -> Tuple[str, int]:
+    """The covariance of exponential charges: (family, sign) such that
+    charges q_a, q_b contribute sign * q_a q_b N(a, b) to the exponent, N the
+    mode series of that family.  K uses ``NK`` with sign -1, A ``NA`` with +1."""
+    if realization == "K":
+        return "NK", -1
+    if realization == "A":
+        return "NA", 1
+    raise ValueError("exponential factors need a realization")
+
+
 @dataclass(frozen=True)
 class Term:
     """One product term.  Token tuples are kept sorted; ``coeff`` is the
     only non-structural field."""
 
     coeff: Coeff
-    deltas: Tuple[Tuple[int, int, int], ...] = ()      # (i, j, k), i < j
-    kers: Tuple[Tuple[str, int, int, int], ...] = ()   # (tag, k, i, j), i <= j
-    wavys: Tuple[Tuple[int, int, int], ...] = ()       # (k, i, j), i <= j
-    dots: Tuple[Tuple[int, int, int], ...] = ()        # (k, i, j), i <= j
-    exps: Tuple[Tuple[int, int], ...] = ()             # (pos, charge)
-    dmarks: Tuple[int, ...] = ()                       # pending d/du_t
+    deltas: Tuple[Tuple[int, int, int], ...] = ()       # (i, j, k), i < j
+    smooth: Tuple[Tuple[str, int, int, int], ...] = ()  # (family, k, i, j), i <= j
+    exps: Tuple[Tuple[int, int], ...] = ()              # (pos, charge)
+    dmarks: Tuple[int, ...] = ()                        # pending d/du_t
     singular: bool = False
 
     def key(self):
-        return (self.deltas, self.kers, self.wavys, self.dots, self.exps,
-                self.dmarks, self.singular)
+        return (self.deltas, self.smooth, self.exps, self.dmarks, self.singular)
+
+    def _replace(self, **changes) -> "Term":
+        """``dataclasses.replace`` without its per-field introspection and
+        frozen ``__init__``: canonicalization copies hundreds of thousands
+        of terms.  ``changes`` names Term fields."""
+        new = object.__new__(Term)
+        new.__dict__.update(self.__dict__, **changes)
+        return new
 
     def sorted(self) -> "Term":
-        return _replace(
-            self,
+        return self._replace(
             deltas=tuple(sorted(self.deltas)),
-            kers=tuple(sorted(self.kers)),
-            wavys=tuple(sorted(self.wavys)),
-            dots=tuple(sorted(self.dots)),
+            smooth=tuple(sorted(self.smooth)),
             exps=tuple(sorted(self.exps)),
             dmarks=tuple(sorted(self.dmarks)),
         )
@@ -254,11 +273,7 @@ class Term:
         out = set()
         for (i, j, _k) in self.deltas:
             out.update((i, j))
-        for (_t, _k, i, j) in self.kers:
-            out.update((i, j))
-        for (_k, i, j) in self.wavys:
-            out.update((i, j))
-        for (_k, i, j) in self.dots:
+        for (_f, _k, i, j) in self.smooth:
             out.update((i, j))
         for (pos, _c) in self.exps:
             out.add(pos)
@@ -278,45 +293,16 @@ class Term:
             deltas.append((a, b, k))
             if s != 1:
                 coeff = coeff.scale(s)
-        kers = []
-        for (tag, k, i, j) in self.kers:
+        smooth = []
+        for (family, k, i, j) in self.smooth:
             a, b, s = orient(mapping.get(i, i), mapping.get(j, j), k)
-            kers.append((tag, k, a, b))
-            if s != 1:
-                coeff = coeff.scale(s)
-        wavys = []
-        for (k, i, j) in self.wavys:
-            a, b, s = orient(mapping.get(i, i), mapping.get(j, j), k)
-            wavys.append((k, a, b))
-            if s != 1:
-                coeff = coeff.scale(s)
-        dots = []
-        for (k, i, j) in self.dots:
-            a, b, s = orient(mapping.get(i, i), mapping.get(j, j), k)
-            dots.append((k, a, b))
+            smooth.append((family, k, a, b))
             if s != 1:
                 coeff = coeff.scale(s)
         exps = tuple(sorted((mapping.get(p, p), c) for (p, c) in self.exps))
         dmarks = tuple(sorted(mapping.get(t, t) for t in self.dmarks))
-        return Term(coeff, tuple(sorted(deltas)), tuple(sorted(kers)),
-                    tuple(sorted(wavys)), tuple(sorted(dots)), exps, dmarks,
+        return Term(coeff, tuple(sorted(deltas)), tuple(sorted(smooth)), exps, dmarks,
                     self.singular)
-
-    def smooth_factors(self) -> List[Tuple[str, int, int, int]]:
-        """(family, k, i, j) of every kernel, wavy and dotted factor, named
-        by its mode-series family (:func:`loopcorr.kernels.mode_series`)."""
-        return ([(tag, k, i, j) for (tag, k, i, j) in self.kers]
-                + [("wavy", k, i, j) for (k, i, j) in self.wavys]
-                + [("D", k, i, j) for (k, i, j) in self.dots])
-
-
-def _replace(t: Term, **changes) -> Term:
-    """``dataclasses.replace`` for a Term without its per-field introspection
-    and frozen ``__init__``: canonicalization copies hundreds of thousands of
-    terms.  ``changes`` names Term fields."""
-    new = object.__new__(Term)
-    new.__dict__.update(t.__dict__, **changes)
-    return new
 
 
 @dataclass
@@ -355,7 +341,7 @@ class Expression:
         return self + other.scale(-1)
 
     def scale(self, re=1, im=0) -> "Expression":
-        return Expression([_replace(t, coeff=t.coeff.scale(re, im)) for t in self.terms],
+        return Expression([t._replace(coeff=t.coeff.scale(re, im)) for t in self.terms],
                           self.realization, dict(self.radii))
 
     # -- serialization ------------------------------------------------------
@@ -366,14 +352,12 @@ class Expression:
 
         terms = []
         for t in self.terms:
-            coeff = [[list(m[:4]), [list(x) for x in m[4]], rat(re), rat(im)]
+            coeff = [[list(m[:3]), [list(x) for x in m[3]], rat(re), rat(im)]
                      for m, (re, im) in sorted(t.coeff.d.items())]
             terms.append({
                 "coeff": coeff,
                 "deltas": [list(x) for x in t.deltas],
-                "kers": [list(x) for x in t.kers],
-                "wavys": [list(x) for x in t.wavys],
-                "dots": [list(x) for x in t.dots],
+                "smooth": [list(x) for x in t.smooth],
                 "exps": [list(x) for x in t.exps],
                 "dmarks": list(t.dmarks),
                 "singular": t.singular,
@@ -390,15 +374,12 @@ class Expression:
         for t in data["terms"]:
             d = {}
             for base, mus, re, im in t["coeff"]:
-                mono = (base[0], base[1], base[2], base[3],
-                        tuple((int(k), int(e)) for k, e in mus))
+                mono = (base[0], base[1], base[2], tuple((int(k), int(e)) for k, e in mus))
                 d[mono] = (Fraction(re), Fraction(im))
             terms.append(Term(
                 Coeff(d),
                 tuple(tuple(x) for x in t["deltas"]),
-                tuple((str(a), b, c, e) for a, b, c, e in t["kers"]),
-                tuple(tuple(x) for x in t["wavys"]),
-                tuple(tuple(x) for x in t["dots"]),
+                tuple((str(f), k, i, j) for f, k, i, j in t["smooth"]),
                 tuple(tuple(x) for x in t["exps"]),
                 tuple(t["dmarks"]),
                 t["singular"],
@@ -415,7 +396,7 @@ def conjugate(expr: Expression) -> Expression:
     """Complex conjugation.  All structural factors are real-valued, so only
     the coefficients conjugate; index roles are untouched (word reversal is
     a separate relabeling done by the caller)."""
-    return Expression([_replace(t, coeff=t.coeff.conj()) for t in expr.terms],
+    return Expression([t._replace(coeff=t.coeff.conj()) for t in expr.terms],
                       expr.realization, dict(expr.radii))
 
 
@@ -437,37 +418,16 @@ def d_du(term: Term, idx: int, realization: Optional[str]) -> List[Term]:
         if idx == i or idx == j:
             s = 1 if idx == i else -1
             deltas = term.deltas[:n] + ((i, j, k + 1),) + term.deltas[n + 1:]
-            out.append(_replace(term, coeff=term.coeff.scale(s), deltas=tuple(sorted(deltas))))
+            out.append(term._replace(coeff=term.coeff.scale(s), deltas=tuple(sorted(deltas))))
 
-    for n, (tag, k, i, j) in enumerate(term.kers):
-        if i == j:
-            continue  # angle-independent constant
-        if idx == i or idx == j:
+    for n, (family, k, i, j) in enumerate(term.smooth):
+        if i != j and idx in (i, j):  # a factor with i == j is a constant
             s = 1 if idx == i else -1
-            kers = term.kers[:n] + ((tag, k + 1, i, j),) + term.kers[n + 1:]
-            out.append(_replace(term, coeff=term.coeff.scale(s), kers=tuple(sorted(kers))))
-
-    for n, (k, i, j) in enumerate(term.wavys):
-        if i == j:
-            continue
-        if idx == i or idx == j:
-            s = 1 if idx == i else -1
-            wavys = term.wavys[:n] + ((k + 1, i, j),) + term.wavys[n + 1:]
-            out.append(_replace(term, coeff=term.coeff.scale(s), wavys=tuple(sorted(wavys))))
-
-    for n, (k, i, j) in enumerate(term.dots):
-        if i == j:
-            continue
-        if idx == i or idx == j:
-            s = 1 if idx == i else -1
-            dots = term.dots[:n] + ((k + 1, i, j),) + term.dots[n + 1:]
-            out.append(_replace(term, coeff=term.coeff.scale(s), dots=tuple(sorted(dots))))
+            smooth = term.smooth[:n] + ((family, k + 1, i, j),) + term.smooth[n + 1:]
+            out.append(term._replace(coeff=term.coeff.scale(s), smooth=tuple(sorted(smooth))))
 
     if any(p == idx for p, _ in term.exps):
-        if realization not in ("K", "A"):
-            raise ValueError("exponential factors need a realization to differentiate")
-        tag = "NK" if realization == "K" else "NA"
-        outer = 1 if realization == "A" else -1
+        family, sign = gaussian_rule(realization)
         for (pe, ce) in term.exps:
             if pe != idx:
                 continue
@@ -475,9 +435,9 @@ def d_du(term: Term, idx: int, realization: Optional[str]) -> List[Term]:
                 if ps == idx:
                     continue  # same-point cross term is angle-independent
                 a, b, flip = orient(idx, ps, 1)
-                coeff = term.coeff.scale(outer * ce * cs * flip)
-                kers = tuple(sorted(term.kers + ((tag, 1, a, b),)))
-                out.append(_replace(term, coeff=coeff, kers=kers))
+                coeff = term.coeff.scale(sign * ce * cs * flip)
+                smooth = tuple(sorted(term.smooth + ((family, 1, a, b),)))
+                out.append(term._replace(coeff=coeff, smooth=smooth))
 
     return out
 
@@ -584,9 +544,9 @@ def _pass_once(terms: List[Term], on_circle, realization, allow_singular) -> Lis
                 continue
             cancelled = coeff.is_zero
             if cancelled:
-                t = _replace(t, coeff=_ONE)
+                t = t._replace(coeff=_ONE)
             elif coeff is not t.coeff:
-                t = _replace(t, coeff=coeff)
+                t = t._replace(coeff=coeff)
             done, successors = _rewrite(t, on_circle, realization, allow_singular)
             if done is not None and not cancelled:
                 out.append(done)
@@ -605,7 +565,7 @@ def _pass_once(terms: List[Term], on_circle, realization, allow_singular) -> Lis
             acc[k] = t.coeff
             keep[k] = t
             order.append(k)
-    merged = [_replace(keep[k], coeff=acc[k]) for k in sorted(order) if not acc[k].is_zero]
+    merged = [keep[k]._replace(coeff=acc[k]) for k in sorted(order) if not acc[k].is_zero]
     return merged
 
 
@@ -625,7 +585,7 @@ def _rewrite(t: Term, on_circle, realization, allow_singular) -> Tuple[Optional[
     term, []) when no rule applies, else (None, successors)."""
     # expand pending derivative markers
     if t.dmarks:
-        return None, d_du(_replace(t, dmarks=t.dmarks[1:]), t.dmarks[0], realization)
+        return None, d_du(t._replace(dmarks=t.dmarks[1:]), t.dmarks[0], realization)
     if t.exps and charge_vanishes(realization, (c for _, c in t.exps)):
         return None, []
     if t.singular:
@@ -642,7 +602,7 @@ def _rewrite(t: Term, on_circle, realization, allow_singular) -> Tuple[Optional[
             raise SingularProduct(
                 "delta-square pattern outside a loop-renormalization context: "
                 f"{t.deltas}")
-        return _replace(t, singular=True).sorted(), []
+        return t._replace(singular=True).sorted(), []
     t2 = _collapse_plain(t, on_circle)
     if t2 is not None:
         return None, [t2]
@@ -675,16 +635,16 @@ def _collapse_plain(t: Term, on_circle) -> Optional[Term]:
                 want.add((r, x, 0))
     plain_set = set(plain)
     rest = tuple(tok for tok in t.deltas if tok not in plain_set)
-    base = _replace(t, deltas=rest)
+    base = t._replace(deltas=rest)
     if plain_set == want and not (set(mapping) & base.indices()):
         return None
     relabeled = base.relabel(mapping)
-    for (k, i, j) in relabeled.wavys + relabeled.dots:
-        if i == j and on_circle(i):
+    for (family, k, i, j) in relabeled.smooth:
+        if family in ("wavy", "D") and i == j and on_circle(i):
             raise StructuralViolation(
                 "wavy/dotted factor closed onto a single point by delta support")
     deltas = tuple(sorted(set(relabeled.deltas) | want))
-    return _replace(relabeled, deltas=deltas)
+    return relabeled._replace(deltas=deltas)
 
 
 def _merge_exps(t: Term) -> Term:
@@ -699,7 +659,7 @@ def _merge_exps(t: Term) -> Term:
     exps = tuple(sorted((pos, c) for pos, c in acc.items() if c != 0))
     if exps == t.exps:
         return t
-    return _replace(t, exps=exps)
+    return t._replace(exps=exps)
 
 
 def _orient_charges(t: Term) -> Term:
@@ -709,18 +669,12 @@ def _orient_charges(t: Term) -> Term:
     the representative whose lowest occupied position carries a positive
     charge, which lets conjugate-reversed terms merge."""
     if t.exps and t.exps[0][1] < 0:
-        return _replace(t, exps=tuple(sorted((pos, -c) for pos, c in t.exps)))
+        return t._replace(exps=tuple(sorted((pos, -c) for pos, c in t.exps)))
     return t
 
 
 def _has_odd_self(t: Term) -> bool:
-    for (_tag, k, i, j) in t.kers:
-        if i == j and k % 2 == 1:
-            return True
-    for (k, i, j) in t.wavys + t.dots:
-        if i == j and k % 2 == 1:
-            return True
-    return False
+    return any(i == j and k % 2 == 1 for (_f, k, i, j) in t.smooth)
 
 
 def _delta_adjacency(t: Term, on_circle) -> Dict[int, List[Tuple[int, Tuple[int, int, int]]]]:
@@ -734,13 +688,8 @@ def _delta_adjacency(t: Term, on_circle) -> Dict[int, List[Tuple[int, Tuple[int,
 
 
 def _nondelta_at(t: Term, x: int) -> bool:
-    for (_tag, k, i, j) in t.kers:
-        if x in (i, j):
-            return True
-    for (k, i, j) in t.wavys + t.dots:
-        if x in (i, j):
-            return True
-    return any(p == x for p, _ in t.exps)
+    return (any(x in (i, j) for (_f, _k, i, j) in t.smooth)
+            or any(p == x for p, _ in t.exps))
 
 
 def _tokens_at(t: Term, x: int, skip_delta: Optional[Tuple[int, int, int]] = None) -> bool:
@@ -813,23 +762,23 @@ def _find_edge(t: Term, x: int, p: int) -> Tuple[int, int, int]:
 def _move_leaf(term: Term, x: int, p: int, realization) -> List[Term]:
     edge = _find_edge(term, x, p)
     rest = tuple(tok for tok in term.deltas if tok != edge)
-    base = _replace(term, deltas=rest)
+    base = term._replace(deltas=rest)
     if not _tokens_at(base, x) and not any(q == x for q, _ in base.exps):
         return [term]
     k = edge[2]
     mapping = {x: p}
     if k == 0:
         moved = base.relabel(mapping)
-        return [_replace(moved, deltas=tuple(sorted(moved.deltas + (edge,))))]
+        return [moved._replace(deltas=tuple(sorted(moved.deltas + (edge,))))]
     deriv_end = x == edge[0]
     out: List[Term] = []
     layer: List[Term] = [base]
     for l in range(0, k + 1):
         c = math.comb(k, l) * ((-1) ** l if deriv_end else 1)
         for tt in layer:
-            moved = _replace(tt, coeff=tt.coeff.scale(c)).relabel(mapping)
+            moved = tt._replace(coeff=tt.coeff.scale(c)).relabel(mapping)
             residual = (edge[0], edge[1], k - l)
-            out.append(_replace(moved, deltas=tuple(sorted(moved.deltas + (residual,)))))
+            out.append(moved._replace(deltas=tuple(sorted(moved.deltas + (residual,)))))
         if l < k:
             layer = [t2 for tt in layer for t2 in d_du(tt, x, realization)]
             if not layer:
@@ -934,7 +883,7 @@ def smear(expr: Expression, tests: Dict[int, Dict[int, complex]], seq: XiSequenc
         # coincident points is the angle-independent series at x = y = r^2
         factors = [("delta", k, i, j) for (i, j, k) in analytic_deltas]
         const = 1.0 + 0.0j
-        for (family, k, i, j) in t.smooth_factors():
+        for (family, k, i, j) in t.smooth:
             if i == j:
                 const *= series(family, k, i, j)
             else:
@@ -965,11 +914,11 @@ def _grid_integral(realization, exps, g, factors, variables, series, theta) -> c
         pairs[i, j] = pairs.get((i, j), 1.0) * series(family, k, i, j)
     scale = 1.0 + 0.0j
     if exps:
-        tag, sign = ("NK", -1.0) if realization == "K" else ("NA", 1.0)
+        family, sign = gaussian_rule(realization)
         for a, (pa, qa) in enumerate(exps):
-            scale *= np.exp(sign * 0.5 * qa * qa * series(tag, 0, pa, pa))
+            scale *= np.exp(sign * 0.5 * qa * qa * series(family, 0, pa, pa))
             for pb, qb in exps[a + 1:]:
-                pair = np.exp(sign * qa * qb * series(tag, 0, pa, pb))
+                pair = np.exp(sign * qa * qb * series(family, 0, pa, pb))
                 pairs[pa, pb] = pairs.get((pa, pb), 1.0) * pair
     axis = {v: a for a, v in enumerate(variables)}
     operands = []

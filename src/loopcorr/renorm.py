@@ -152,8 +152,7 @@ def renormalize_diagram(diagram: Diagram, cfg: SectorConfig) -> List[Term]:
         deltas = list(t.deltas)
         for tok in removed:
             deltas.remove(tok)
-        out.append(replace(t, coeff=t.coeff * factor,
-                           deltas=tuple(sorted(deltas + chain))))
+        out.append(t._replace(coeff=t.coeff * factor, deltas=tuple(sorted(deltas + chain))))
     return out
 
 
@@ -223,7 +222,7 @@ def symbolic_correlator(word: CurrentWord, cfg: SectorConfig,
             if rule is None or dotted_filter(d, rule):
                 terms.extend(renormalize_diagram(d, cfg))
     expr = canonicalize(Expression(terms, cfg.realization, radii))
-    terms = [replace(t, coeff=Coeff(MappingProxyType(dict(t.coeff.d)))) for t in expr.terms]
+    terms = [t._replace(coeff=Coeff(MappingProxyType(dict(t.coeff.d)))) for t in expr.terms]
     return Expression(_ReadOnlyTerms(terms), cfg.realization, MappingProxyType(expr.radii))
 
 
@@ -247,6 +246,6 @@ def evaluate_correlator(word: CurrentWord, scheme: RenormScheme) -> Expression:
         if coeff is t.coeff:
             terms.append(t)
         elif not coeff.is_zero:
-            terms.append(replace(t, coeff=Coeff(MappingProxyType(coeff.d))))
+            terms.append(t._replace(coeff=Coeff(MappingProxyType(coeff.d))))
     expr = _CACHE[key] = Expression(_ReadOnlyTerms(terms), sym.realization, sym.radii)
     return expr

@@ -51,6 +51,7 @@ from .distributions import (
     charge_vanishes,
     conjugate,
     d_du,
+    gaussian_rule,
     smear,
 )
 from .errors import RealizationMismatch, SingularProduct
@@ -102,10 +103,9 @@ def _exp(v, exact: bool):
 
 def _coeff_value(c: Coeff, kappa, p, xi0, exact: bool):
     if not exact:
-        return c.subs_numeric(kappa=kappa, p=p, lam=1.0, xi0=xi0)
+        return c.subs_numeric(kappa=kappa, p=p, xi0=xi0)
     subs = {sp.Symbol("kappa", positive=True): kappa,
             sp.Symbol("p", positive=True): p,
-            sp.Symbol("lambda_", positive=True): 1,
             sp.Symbol("xi0", positive=True): xi0}
     return c.to_sympy().subs(subs, simultaneous=True)
 
@@ -433,7 +433,7 @@ def expression_value(expr: Expression, points: Mapping[int, CirclePoint],
         if t.dmarks:
             # angle derivatives are exact on regulated tokens at any radius,
             # so pending marks can be expanded on the spot
-            base = replace(t, dmarks=t.dmarks[1:])
+            base = t._replace(dmarks=t.dmarks[1:])
             work.extend(d_du(base, t.dmarks[0], realization))
         else:
             flat.append(t)
@@ -441,27 +441,23 @@ def expression_value(expr: Expression, points: Mapping[int, CirclePoint],
         if t.singular:
             raise SingularProduct("cannot evaluate a singular term pointwise")
         v = _coeff_value(t.coeff, kappa, p, xi0, exact)
-        factors = [("delta", k, i, j) for (i, j, k) in t.deltas] + t.smooth_factors()
+        factors = [("delta", k, i, j) for (i, j, k) in t.deltas] + list(t.smooth)
         for (family, k, i, j) in factors:
             z, w = _pt_value(points[i], exact), _pt_value(points[j], exact)
             v = v * _pair_series(z, w, k, family, seq, trunc, exact)
         if t.exps:
             if charge_vanishes(realization, (q for _, q in t.exps)):
                 continue
+            family, sign = gaussian_rule(realization)
             arg = sp.Integer(0) if exact else 0j
-            sgn = -1 if realization == "K" else 1
-            tag = "NK" if realization == "K" else "NA"
-            entries = list(t.exps)
-            for a in range(len(entries)):
-                pa, qa = entries[a]
+            for a, (pa, qa) in enumerate(t.exps):
                 za = _pt_value(points[pa], exact)
-                na = _pair_series(za, za, 0, tag, seq, trunc, exact)
-                arg = arg + sgn * qa * qa * na / 2
-                for bidx in range(a + 1, len(entries)):
-                    pb, qb = entries[bidx]
+                na = _pair_series(za, za, 0, family, seq, trunc, exact)
+                arg = arg + sign * qa * qa * na / 2
+                for pb, qb in t.exps[a + 1:]:
                     zb = _pt_value(points[pb], exact)
-                    nab = _pair_series(za, zb, 0, tag, seq, trunc, exact)
-                    arg = arg + sgn * qa * qb * nab
+                    nab = _pair_series(za, zb, 0, family, seq, trunc, exact)
+                    arg = arg + sign * qa * qb * nab
             v = v * _exp(arg, exact)
         total = total + v
     return total
@@ -550,9 +546,8 @@ def relation_rhs(case: CommutatorTestCase) -> Expression:
         shift = {j: j + gap for j in range(i, len(names))}
         for t in e.terms:
             t2 = t.relabel(shift) if shift else t
-            terms.append(replace(
-                t2, coeff=t2.coeff * coeff,
-                deltas=tuple(sorted(t2.deltas + ((i, i + 1, k),)))))
+            terms.append(t2._replace(coeff=t2.coeff * coeff,
+                                     deltas=tuple(sorted(t2.deltas + ((i, i + 1, k),)))))
     return Expression(terms, cfg.realization, {})
 
 

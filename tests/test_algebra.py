@@ -108,7 +108,7 @@ def test_commutator_a_b_sectors():
     assert primitive_commutator("a", "b", 1, 2, K_CFG) == []
     parts = primitive_commutator("a", "b", 1, 2, KU_CFG)
     assert len(parts) == 1
-    assert parts[0].dots == ((0, 1, 2),)
+    assert parts[0].smooth == (("D", 0, 1, 2),)
     assert parts[0].coeff == cu(re=1)
     # reversed order flips the sign
     parts_rev = primitive_commutator("b", "a", 1, 2, KU_CFG)
@@ -117,7 +117,7 @@ def test_commutator_a_b_sectors():
     parts_a = primitive_commutator("a", "b", 1, 2, AU_CFG)
     assert len(parts_a) == 2
     assert parts_a[1].coeff == cu(xi0=-1, re=Fraction(1, 2))
-    assert parts_a[1].deltas == () and parts_a[1].dots == ()
+    assert parts_a[1].deltas == () and parts_a[1].smooth == ()
 
 
 def test_commutator_h_average():

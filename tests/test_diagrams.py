@@ -109,7 +109,7 @@ def test_double_terminal_weight():
     assert len(terms) == 1
     t = terms[0]
     assert t.coeff == cu(re=4, kappa=2)
-    assert t.kers == (("NK", 2, 0, 1),)
+    assert t.smooth == (("NK", 2, 0, 1),)
     assert not t.deltas and not t.exps
 
 
@@ -149,8 +149,8 @@ def test_rho_matchings_in_weights():
                 if t.coeff.d and all(m[1] == 2 for m in t.coeff.d)]
     # the double-rho diagram leaves p^2 exactly once
     assert len(momentum) == 1 and momentum[0].exps == ((0, 1), (1, -1))
-    wavy = [t for t in correlator_terms(("J+", "J-"), K) if t.wavys]
-    assert len(wavy) == 1 and wavy[0].wavys == ((0, 0, 1),)
+    wavy = [t for t in correlator_terms(("J+", "J-"), K) if t.smooth]
+    assert len(wavy) == 1 and wavy[0].smooth == (("wavy", 0, 0, 1),)
 
 
 def test_completeness_two_point_k():

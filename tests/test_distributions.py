@@ -40,11 +40,11 @@ def test_coeff_ring():
     assert (a + b).is_zero
     c = Coeff.unit(mu={2: 1}, re=Fraction(1, 2))
     prod = a * c
-    assert list(prod.d) == [(1, 0, 0, 0, ((2, 1),))]
-    assert prod.d[(1, 0, 0, 0, ((2, 1),))] == (Fraction(0), Fraction(2))
-    assert (a * b).d[(2, 0, 0, 0, ())] == (Fraction(16), Fraction(0))
+    assert list(prod.d) == [(1, 0, 0, ((2, 1),))]
+    assert prod.d[(1, 0, 0, ((2, 1),))] == (Fraction(0), Fraction(2))
+    assert (a * b).d[(2, 0, 0, ())] == (Fraction(16), Fraction(0))
     assert Coeff.unit(mu={2: 0}) == Coeff.one()
-    assert a.conj().d[(1, 0, 0, 0, ())] == (Fraction(0), Fraction(-4))
+    assert a.conj().d[(1, 0, 0, ())] == (Fraction(0), Fraction(-4))
 
 
 # small pools, so that monomials and parts collide and sums and products cancel
@@ -105,11 +105,11 @@ def test_merge_of_identical_structures():
 
 def test_plain_delta_collapse_moves_content():
     # N(2,3) delta(1,2) == N(1,3) delta(1,2)
-    t = term(1, deltas=((1, 2, 0),), kers=(("NK", 0, 2, 3),))
+    t = term(1, deltas=((1, 2, 0),), smooth=(("NK", 0, 2, 3),))
     out = canonicalize(expr([t]))
     assert len(out.terms) == 1
     assert out.terms[0].deltas == ((1, 2, 0),)
-    assert out.terms[0].kers == (("NK", 0, 1, 3),)
+    assert out.terms[0].smooth == (("NK", 0, 1, 3),)
 
 
 def test_plain_chain_collapses_to_star():
@@ -172,13 +172,13 @@ def test_exp_derivative_emits_kernel():
     t = term(1, exps=((1, 1), (2, -1)))
     out = d_du(t, 1, "K")
     assert len(out) == 1
-    assert out[0].kers == (("NK", 1, 1, 2),)
+    assert out[0].smooth == (("NK", 1, 1, 2),)
     # -(+1)(-1) = +1
     assert out[0].coeff == Coeff.one()
     out_a = d_du(Term(Coeff.one(), exps=((1, 1), (2, -1))), 2, "A")
     # A sign: +q2*q1, with orientation flip for (2,1) -> (1,2)
     assert out_a[0].coeff == Coeff.complex_rat(1)
-    assert out_a[0].kers == (("NA", 1, 1, 2),)
+    assert out_a[0].smooth == (("NA", 1, 1, 2),)
 
 
 def test_opposite_charges_at_same_point_cancel():
@@ -198,7 +198,7 @@ def test_k_charge_balance_drops_terms():
 
 def test_odd_self_kernel_vanishes():
     # delta-collapse produces N'(c,c) = 0
-    t = term(1, deltas=((1, 2, 0),), kers=(("NK", 1, 1, 2),))
+    t = term(1, deltas=((1, 2, 0),), smooth=(("NK", 1, 1, 2),))
     out = canonicalize(expr([t]))
     assert out.terms == []
 
@@ -243,9 +243,9 @@ def test_canonicalize_detects_zero_difference():
 
 def test_content_moves_across_derivative_delta():
     # N(2,3) delta'(1,2) = N(1,3) delta'(1,2) + N^(1)(1,3) delta(1,2)
-    t = term(1, deltas=((1, 2, 1),), kers=(("NK", 0, 2, 3),))
+    t = term(1, deltas=((1, 2, 1),), smooth=(("NK", 0, 2, 3),))
     out = canonicalize(expr([t]))
-    got = {(tt.deltas, tt.kers): tt.coeff for tt in out.terms}
+    got = {(tt.deltas, tt.smooth): tt.coeff for tt in out.terms}
     assert got == {
         (((1, 2, 1),), (("NK", 0, 1, 3),)): Coeff.one(),
         (((1, 2, 0),), (("NK", 1, 1, 3),)): Coeff.one(),
@@ -256,7 +256,7 @@ def test_exp_charge_moves_across_derivative_delta():
     # charge at 2 moved across delta'(1,2): emission term appears
     t = term(1, deltas=((1, 2, 1),), exps=((2, 1), (3, -1)))
     out = canonicalize(expr([t], realization="K"))
-    keys = {(tt.deltas, tt.kers, tt.exps) for tt in out.terms}
+    keys = {(tt.deltas, tt.smooth, tt.exps) for tt in out.terms}
     assert (((1, 2, 1),), (), ((1, 1), (3, -1))) in keys
     assert (((1, 2, 0),), (("NK", 1, 1, 3),), ((1, 1), (3, -1))) in keys
     assert len(out.terms) == 2
@@ -301,12 +301,12 @@ def test_smear_matches_star_rewrite():
 
 def test_smear_kernel_factor_against_modes():
     # <N_K(u1,u2), e^{iu1}e^{-iu2}> picks the xi_1 mode: value xi_1 = 1/2
-    t = term(1, kers=(("NK", 0, 1, 2),))
+    t = term(1, smooth=(("NK", 0, 1, 2),))
     val = smear(expr([t]), {1: {1: 1}, 2: {-1: 1}}, SEQ, trunc=40, grid=64)
     assert abs(val - 0.5) < 1e-12
     # derivative: the e^{-in(u1-u2)} branch pairs with these tests, its
     # mode-1 factor is (-i * 1), so the value is -i xi_1
-    t2 = term(1, kers=(("NK", 1, 1, 2),))
+    t2 = term(1, smooth=(("NK", 1, 1, 2),))
     val2 = smear(expr([t2]), {1: {1: 1}, 2: {-1: 1}}, SEQ, trunc=40, grid=64)
     assert abs(val2 - (-0.5j)) < 1e-12
 
@@ -351,7 +351,7 @@ def _dense_smear(e, tests, trunc, grid):
         f = t.coeff.subs_numeric() * np.ones(axes[0].shape)
         for v, th in zip(idx, axes):
             f = f * sum(c * np.exp(1j * m * th) for m, c in tests[v].items())
-        factors = [("delta", k, i, j) for (i, j, k) in t.deltas] + t.smooth_factors()
+        factors = [("delta", k, i, j) for (i, j, k) in t.deltas] + list(t.smooth)
         for (family, k, i, j) in factors:
             f = f * _dense_series(z[i] * np.conj(z[j]), np.conj(z[i]) * z[j], k, family, trunc)
         if t.exps:
@@ -374,14 +374,14 @@ def test_smear_contraction_matches_dense_quadrature():
     cases = [
         # two factors on the pair (1, 2), a coincident constant, a wavy and a
         # dotted factor
-        (term(1, kers=(("NK", 0, 1, 2), ("NK", 1, 1, 2), ("NK", 2, 3, 3)),
-              wavys=((0, 2, 3),), dots=((1, 1, 3),)), "K"),
+        (term(1, smooth=(("D", 1, 1, 3), ("NK", 0, 1, 2), ("NK", 1, 1, 2), ("NK", 2, 3, 3),
+                         ("wavy", 0, 2, 3))), "K"),
         # an analytic delta inside the disc and a three-point K exponential
-        (term(2, -1, deltas=((1, 3, 1),), kers=(("NK", 0, 2, 4),),
+        (term(2, -1, deltas=((1, 3, 1),), smooth=(("NK", 0, 2, 4),),
               exps=((1, 1), (2, 1), (4, -2))), "K"),
         # a two-point A exponential sharing its pair with a kernel
-        (term(0, 1, deltas=((2, 3, 0),), kers=(("NA", 0, 1, 1), ("NA", 0, 1, 4)),
-              wavys=((1, 2, 4),), exps=((1, 1), (4, 2))), "A"),
+        (term(0, 1, deltas=((2, 3, 0),), smooth=(("NA", 0, 1, 1), ("NA", 0, 1, 4), ("wavy", 1, 2, 4)),
+              exps=((1, 1), (4, 2))), "A"),
     ]
     for t, realization in cases:
         e = expr([t], realization, radii)
@@ -395,7 +395,7 @@ def test_smear_contraction_matches_dense_quadrature():
 
 @pytest.mark.parametrize("sizes", [{"grid": 0}, {"grid": -4}, {"trunc": -1}])
 def test_smear_rejects_sizes_it_cannot_honour(sizes):
-    t = term(1, kers=(("NK", 0, 1, 2),))
+    t = term(1, smooth=(("NK", 0, 1, 2),))
     with pytest.raises(ValueError):
         smear(expr([t]), {1: {1: 1}, 2: {-1: 1}}, SEQ, **sizes)
     scheme = RenormScheme.drop_loops(SectorConfig("K", "nonunitary"))
@@ -422,9 +422,7 @@ def test_json_round_trip():
     t = Term(
         Coeff.unit(kappa=2, mu={3: 1}, re=Fraction(1, 3), im=-2),
         deltas=((1, 2, 1),),
-        kers=(("NA", 0, 1, 3),),
-        wavys=((0, 1, 3),),
-        dots=((0, 2, 3),),
+        smooth=(("D", 0, 2, 3), ("NA", 0, 1, 3), ("wavy", 0, 1, 3)),
         exps=((1, 1), (3, -1)),
     )
     e = Expression([t], "A", {3: Fraction(1, 2)})

@@ -54,7 +54,7 @@ def test_central_commutator_is_a_delta_prime():
     assert len(expr.terms) == 1
     t = expr.terms[0]
     assert t.deltas == ((0, 1, 1),)
-    assert not (t.kers or t.wavys or t.dots or t.exps)
+    assert not (t.smooth or t.exps)
     assert t.coeff == _co(im=-8, kappa=1)
 
 
@@ -205,7 +205,7 @@ def test_scale_sensitivity_rule_matches_symbolic_engine():
                   if sum(nm in CURRENT_CHARGE for nm in w) == 2]
         for names in words:
             expr = symbolic_correlator(CurrentWord.from_names(names), cfg, None)
-            scaled = any(m[4] for t in expr.terms for m in t.coeff.d)
+            scaled = any(t.coeff.has_mu for t in expr.terms)
             assert scaled == _word_scale_sensitive(names, cfg.realization), names
             checked += 1
     assert checked == 126

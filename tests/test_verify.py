@@ -250,12 +250,12 @@ def test_expression_value_tokens():
     want = sum(1j * n * (v["x"] ** n - v["y"] ** n) for n in range(1, N + 1))
     assert abs(got - want) < 1e-12
     # kernel token with two derivatives: -sum xi_n n^2 (x^n + y^n)
-    t2 = Term(coeff=Coeff.unit(), kers=(("NK", 2, 0, 1),))
+    t2 = Term(coeff=Coeff.unit(), smooth=(("NK", 2, 0, 1),))
     e2 = Expression([t2], realization="K", radii={0: Z1.r, 1: Z2.r})
     got2 = expression_value(e2, {0: Z1, 1: Z2}, SEQ, trunc=N)
     assert abs(got2 - (-v["T"])) < 1e-12
     # wavy and dotted tokens
-    t3 = Term(coeff=Coeff.unit(), wavys=((0, 0, 1),), dots=((0, 0, 1),))
+    t3 = Term(coeff=Coeff.unit(), smooth=(("D", 0, 0, 1), ("wavy", 0, 0, 1)))
     e3 = Expression([t3], realization="K", radii={0: Z1.r, 1: Z2.r})
     got3 = expression_value(e3, {0: Z1, 1: Z2}, SEQ, trunc=N)
     w = sum(n * (v["x"] ** n + v["y"] ** n) for n in range(1, N + 1))
