@@ -229,6 +229,8 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_selfcheck(args) -> int:
+    if args.max_len < 0:
+        raise ValueError(f"--max-len must be >= 0, got {args.max_len}")
     cfg = SectorConfig(realization=args.realization, sector=args.sector)
     currents = CURRENTS_K if cfg.realization == "K" else CURRENTS_A
     schemes = [RenormScheme.drop_loops(cfg),

@@ -422,7 +422,10 @@ def expression_value(expr: Expression, points: Mapping[int, CirclePoint],
                      exact: bool = False):
     """Evaluate a token expression at a fixed point configuration, with every
     kernel series truncated at mode ``trunc`` -- the same regularization the
-    oracle uses, so values are directly comparable."""
+    oracle uses, so values are directly comparable.  Raises ``ValueError``
+    for ``trunc < 0``."""
+    if trunc < 0:
+        raise ValueError(f"expression_value needs trunc >= 0, got trunc={trunc}")
     realization = expr.realization
     total = sp.Integer(0) if exact else 0j
     xi0 = _xi0(seq, exact)
@@ -581,7 +584,10 @@ def _contexts(currents: Sequence[str], max_len: int):
 def check_affine_relations(scheme: RenormScheme, max_context: int = 0) -> RelationReport:
     """Every commutator relation of the realization, inside every spectator
     context up to the given length: the canonical residual must vanish.
-    Failures are recorded, not raised."""
+    Failures are recorded, not raised.  Raises ``ValueError`` for
+    ``max_context < 0``, which would check no case."""
+    if max_context < 0:
+        raise ValueError(f"max_context must be >= 0, got {max_context}")
     cfg = scheme.sector
     currents = CURRENTS_K if cfg.realization == "K" else CURRENTS_A
     report = RelationReport(cfg.realization, scheme.policy)

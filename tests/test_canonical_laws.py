@@ -1,7 +1,8 @@
 """Algebraic laws of ``canonicalize`` on the raw renormalized terms of random
 K and A words of length <= 4 in either sector: the canonical form does not
-depend on the order of the terms, is a fixed point, and can be taken of any
-part of a sum first.  The JSON encoding round-trips byte for byte."""
+depend on the order of the terms, is a fixed point, can be taken of any
+part of a sum first, and commutes with renaming the insertions.  The JSON
+encoding round-trips byte for byte."""
 
 import functools
 from fractions import Fraction
@@ -59,6 +60,24 @@ def test_additivity(raw, rnd):
         (a if rnd.random() < 0.5 else b).append(t)
     a, b = Expression(a, realization), Expression(b, realization)
     assert canonicalize(a + b).to_json() == canonicalize(canonicalize(a) + b).to_json()
+
+
+@LAWS
+@given(raw_expressions(), st.randoms(use_true_random=False))
+def test_relabel_commutes_with_canonicalize(raw, rnd):
+    # a random permutation of the insertions, which carry random radii along
+    terms, realization = raw
+    idx = sorted(set().union(*(t.indices() for t in terms)))
+    perm = dict(zip(idx, rnd.sample(idx, len(idx))))
+    radii = {i: rnd.choice((Fraction(1), Fraction(1, 2), Fraction(2, 3))) for i in idx}
+    moved = {perm[i]: r for i, r in radii.items()}
+
+    def relabel(e):
+        return Expression([t.relabel(perm) for t in e.terms], realization, moved)
+
+    e = Expression(terms, realization, radii)
+    assert (canonicalize(relabel(e)).to_json()
+            == canonicalize(relabel(canonicalize(e))).to_json())
 
 
 @st.composite

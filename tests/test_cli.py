@@ -131,6 +131,9 @@ def test_gram_single_word(capsys):
     ["gram", "J3(1)", "--degree", "-1"],
     ["gram", "J3(1)", "--trunc", "-3"],
     ["oracle", "ap(1) am(2)", "--trunc", "-3"],
+    ["commcheck", "--context", "-1"],
+    ["selfcheck", "--context", "-1"],
+    ["selfcheck", "--context", "0", "--max-len", "-2"],
 ])
 def test_sizes_that_cannot_be_honoured_are_usage_errors(argv, capsys):
     assert main(argv) == 2

@@ -15,7 +15,8 @@ import pytest
 import sympy as sp
 
 from loopcorr.algebra import SectorConfig
-from loopcorr.distributions import Coeff, Expression, Term
+from loopcorr.diagrams import correlator_expression
+from loopcorr.distributions import Coeff, Expression, Term, canonicalize
 from loopcorr.errors import RealizationMismatch
 from loopcorr.kernels import CirclePoint, XiSequence
 from loopcorr.verify import expression_value, gaussian_oracle, oracle_letters
@@ -260,3 +261,13 @@ def test_expression_value_tokens():
     got3 = expression_value(e3, {0: Z1, 1: Z2}, SEQ, trunc=N)
     w = sum(n * (v["x"] ** n + v["y"] ** n) for n in range(1, N + 1))
     assert abs(got3 - w * v["D"]) < 1e-12
+
+
+def test_expression_value_rejects_negative_truncation():
+    # a negative truncation would keep only the constant parts of each series
+    half = Fraction(1, 2)
+    e = canonicalize(correlator_expression(("J+", "J-"), K, radii={0: half, 1: half}))
+    points = {0: CirclePoint(half, 0), 1: CirclePoint(half, Fraction(1, 4))}
+    expression_value(e, points, SEQ, trunc=0)  # the boundary is accepted
+    with pytest.raises(ValueError, match="trunc"):
+        expression_value(e, points, SEQ, trunc=-5)
