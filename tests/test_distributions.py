@@ -18,7 +18,7 @@ from loopcorr.distributions import (
     smear,
 )
 from loopcorr.algebra import SectorConfig
-from loopcorr.errors import SingularProduct
+from loopcorr.errors import SingularProduct, StructuralViolation
 from loopcorr.kernels import XiSequence
 from loopcorr.renorm import RenormScheme
 from loopcorr.verify import gram_matrix
@@ -119,6 +119,15 @@ def test_plain_chain_collapses_to_star():
     b = canonicalize(expr([alt]))
     assert a.terms == b.terms
     assert a.terms[0].deltas == ((1, 2, 0), (1, 3, 0))
+
+
+@pytest.mark.parametrize("family", ["wavy", "D"])
+def test_plain_deltas_cannot_close_a_wavy_or_dotted_factor(family):
+    # support relabeling along delta(0,1) delta(1,2) puts a wavy or dotted
+    # factor on (0, 2) onto the single on-circle point 0, where it diverges
+    t = term(1, deltas=((0, 1, 0), (1, 2, 0)), smooth=((family, 0, 0, 2),))
+    with pytest.raises(StructuralViolation):
+        canonicalize(expr([t]))
 
 
 def test_delta_cycle_is_singular():
