@@ -493,12 +493,6 @@ def detect_singular(expr: Expression) -> List[dict]:
     return reports
 
 
-def _term_fingerprint(terms: List[Term]) -> tuple:
-    return tuple(sorted((t.key(), tuple(sorted(t.coeff.d.items()))) for t in terms))
-
-
-# a safety net: canonical form is reached in a few passes
-_MAX_PASSES = 60
 _ONE = Coeff.one()
 
 
@@ -506,19 +500,7 @@ def canonicalize(expr: Expression, allow_singular: bool = False) -> Expression:
     """Rewrite to canonical form.  Raises :class:`SingularProduct` on
     delta-square patterns unless ``allow_singular`` (then such terms are
     carried with their ``singular`` flag and skipped by the rewrites)."""
-    on_circle = expr.on_circle
-    realization = expr.realization
-
-    terms = list(expr.terms)
-    before = _term_fingerprint(terms)
-    for _pass in range(_MAX_PASSES):
-        terms = _pass_once(terms, on_circle, realization, allow_singular)
-        after = _term_fingerprint(terms)
-        if after == before:
-            break
-        before = after
-    else:  # pragma: no cover - safety net
-        raise AssertionError("canonicalization did not stabilize")
+    terms = _pass_once(list(expr.terms), expr.on_circle, expr.realization, allow_singular)
     return Expression(terms, expr.realization, dict(expr.radii))
 
 
@@ -532,7 +514,11 @@ def _pass_once(terms: List[Term], on_circle, realization, allow_singular) -> Lis
     An entry is live when a nonzero coefficient reached it.  A live entry
     whose coefficients cancel is still rewritten (with a unit coefficient,
     passing zero on), so that it raises the errors each of its terms would
-    raise; entries no nonzero coefficient reached are skipped."""
+    raise; entries no nonzero coefficient reached are skipped.
+
+    One pass is all it takes: every term emitted comes from the finished
+    branch of :func:`_rewrite`, where no rule applies, and merging equal
+    structures only adds coefficients, so the result is a fixed point."""
     out: List[Term] = []
     level: Dict[tuple, list] = {}
     for t in terms:
@@ -554,19 +540,11 @@ def _pass_once(terms: List[Term], on_circle, realization, allow_singular) -> Lis
                 _gather(nxt, s, Coeff() if cancelled else s.coeff, not s.coeff.is_zero)
         level = nxt
     # merge identical structures
-    acc: Dict[tuple, Coeff] = {}
-    order: List[tuple] = []
-    keep: Dict[tuple, Term] = {}
+    merged: Dict[tuple, list] = {}
     for t in out:
-        k = t.key()
-        if k in acc:
-            acc[k] = acc[k] + t.coeff
-        else:
-            acc[k] = t.coeff
-            keep[k] = t
-            order.append(k)
-    merged = [keep[k]._replace(coeff=acc[k]) for k in sorted(order) if not acc[k].is_zero]
-    return merged
+        _gather(merged, t, t.coeff, True)
+    return [t._replace(coeff=coeff) for _k, (t, coeff, _live) in sorted(merged.items())
+            if not coeff.is_zero]
 
 
 def _gather(level: Dict[tuple, list], t: Term, coeff: Coeff, live: bool) -> None:
@@ -582,7 +560,18 @@ def _gather(level: Dict[tuple, list], t: Term, coeff: Coeff, live: bool) -> None
 
 def _rewrite(t: Term, on_circle, realization, allow_singular) -> Tuple[Optional[Term], List[Term]]:
     """One rewrite step of a term with a nonzero coefficient: (finished
-    term, []) when no rule applies, else (None, successors)."""
+    term, []) when no rule applies, else (None, successors).
+
+    After pending derivatives, the K charge balance and the merging of
+    exponential charges, one rule is left.  The on-circle deltas form a
+    forest (:func:`_delta_forest`; anything else is a delta-square
+    pattern), and the first node in its order that carries content besides
+    its edge to the tree parent moves that content onto the parent
+    (:func:`_move_leaf`).  The node order is deepest first, so a node's
+    children have moved before it does, and the content of each tree ends
+    on its root, the smallest index, with every other node a bare leaf of
+    the root: the star form.  A term returned as finished is one where no
+    node carries content, so rewriting it again finishes it unchanged."""
     # expand pending derivative markers
     if t.dmarks:
         return None, d_du(t._replace(dmarks=t.dmarks[1:]), t.dmarks[0], realization)
@@ -590,61 +579,63 @@ def _rewrite(t: Term, on_circle, realization, allow_singular) -> Tuple[Optional[
         return None, []
     if t.singular:
         return t.sorted(), []
-    # singular scan over the on-circle delta multigraph
-    uf = UnionFind()
-    singular = False
-    for (i, j, _k) in t.deltas:
-        if on_circle(i) and on_circle(j):
-            if not uf.union(i, j):
-                singular = True
-    if singular:
+    forest = _delta_forest(t, on_circle)
+    if forest is None:
         if not allow_singular:
             raise SingularProduct(
                 "delta-square pattern outside a loop-renormalization context: "
                 f"{t.deltas}")
         return t._replace(singular=True).sorted(), []
-    t2 = _collapse_plain(t, on_circle)
-    if t2 is not None:
-        return None, [t2]
     t = _orient_charges(_merge_exps(t))
     if _has_odd_self(t):
         return None, []
-    moved = _star_moves(t, on_circle, realization)
-    if moved is not None:
-        return None, moved
+    for x, edge in forest:
+        if _tokens_at(t, x, skip_delta=edge):
+            return None, _move_leaf(t, x, edge, realization)
     return t.sorted(), []
 
 
-def _collapse_plain(t: Term, on_circle) -> Optional[Term]:
-    """Star-form the plain on-circle deltas: union classes, star every class
-    at its smallest index, and move all other content off the members by
-    support relabeling (f(u_x) delta(u_r - u_x) = f(u_r) delta(u_r - u_x)).
-    Returns None if the term is already collapsed."""
-    plain = [tok for tok in t.deltas if tok[2] == 0 and on_circle(tok[0]) and on_circle(tok[1])]
-    if not plain:
+def _delta_forest(t: Term, on_circle) -> Optional[List[Tuple[int, Tuple[int, int, int]]]]:
+    """The graph of the on-circle delta factors as BFS trees from the
+    smallest index of each component: (node, delta to its parent) for every
+    non-root node, components in the order of their roots, within a
+    component deepest first and ties by the larger index.  None when the
+    graph is not a forest (a repeated pair or a cycle: delta^2-type)."""
+    adj: Dict[int, List[Tuple[int, Tuple[int, int, int]]]] = {}
+    edges = 0
+    for tok in t.deltas:
+        (i, j, _k) = tok
+        if on_circle(i) and on_circle(j):
+            adj.setdefault(i, []).append((j, tok))
+            adj.setdefault(j, []).append((i, tok))
+            edges += 1
+    order: List[Tuple[int, Tuple[int, int, int]]] = []
+    seen = set()
+    roots = 0
+    # in sorted order the first unseen node is its component's minimum
+    for root in sorted(adj):
+        if root in seen:
+            continue
+        roots += 1
+        seen.add(root)
+        tree: List[Tuple[int, int, Tuple[int, int, int]]] = []  # (depth, node, edge)
+        frontier = [root]
+        depth = 0
+        while frontier:
+            depth += 1
+            nxt = []
+            for v in frontier:
+                for (w, tok) in adj[v]:
+                    if w not in seen:
+                        seen.add(w)
+                        tree.append((depth, w, tok))
+                        nxt.append(w)
+            frontier = nxt
+        tree.sort(reverse=True)
+        order.extend((w, tok) for (_d, w, tok) in tree)
+    if edges != len(adj) - roots:
         return None
-    uf = UnionFind()
-    for (i, j, _k) in plain:
-        uf.union(i, j)
-    mapping = {x: uf.find(x) for x in list(uf.p) if uf.find(x) != x}
-    want = set()
-    for (i, j, _k) in plain:
-        r = uf.find(i)
-        for x in (i, j):
-            if x != r:
-                want.add((r, x, 0))
-    plain_set = set(plain)
-    rest = tuple(tok for tok in t.deltas if tok not in plain_set)
-    base = t._replace(deltas=rest)
-    if plain_set == want and not (set(mapping) & base.indices()):
-        return None
-    relabeled = base.relabel(mapping)
-    for (family, k, i, j) in relabeled.smooth:
-        if family in ("wavy", "D") and i == j and on_circle(i):
-            raise StructuralViolation(
-                "wavy/dotted factor closed onto a single point by delta support")
-    deltas = tuple(sorted(set(relabeled.deltas) | want))
-    return relabeled._replace(deltas=deltas)
+    return order
 
 
 def _merge_exps(t: Term) -> Term:
@@ -677,107 +668,42 @@ def _has_odd_self(t: Term) -> bool:
     return any(i == j and k % 2 == 1 for (_f, k, i, j) in t.smooth)
 
 
-def _delta_adjacency(t: Term, on_circle) -> Dict[int, List[Tuple[int, Tuple[int, int, int]]]]:
-    adj: Dict[int, List[Tuple[int, Tuple[int, int, int]]]] = {}
-    for tok in t.deltas:
-        (i, j, _k) = tok
-        if on_circle(i) and on_circle(j):
-            adj.setdefault(i, []).append((j, tok))
-            adj.setdefault(j, []).append((i, tok))
-    return adj
-
-
-def _nondelta_at(t: Term, x: int) -> bool:
-    return (any(x in (i, j) for (_f, _k, i, j) in t.smooth)
-            or any(p == x for p, _ in t.exps))
-
-
-def _tokens_at(t: Term, x: int, skip_delta: Optional[Tuple[int, int, int]] = None) -> bool:
+def _tokens_at(t: Term, x: int, skip_delta: Tuple[int, int, int]) -> bool:
     """Whether any factor other than ``skip_delta`` references index x."""
     for tok in t.deltas:
         if tok != skip_delta and x in (tok[0], tok[1]):
             return True
-    return _nondelta_at(t, x)
+    return (any(x in (i, j) for (_f, _k, i, j) in t.smooth)
+            or any(p == x for p, _ in t.exps))
 
 
-def _star_moves(t: Term, on_circle, realization) -> Optional[List[Term]]:
-    """Move all smooth content of each on-circle delta tree onto its root
-    (smallest index) by support relabeling (plain deltas) and the Leibniz
-    exchange  G(v) d^k delta(u-v) = sum_l C(k,l) G^(l)(u) d^(k-l) delta(u-v)
-    (with an extra (-1)^l when G sits at the derivative endpoint u).
-    Returns None when the term is already in star form."""
-    adj = _delta_adjacency(t, on_circle)
-    if not adj:
-        return None
-
-    # components, BFS trees from the minimal node, deepest-first node order;
-    # in sorted order the first unseen node is its component's minimum
-    seen = set()
-    proc: List[Tuple[int, int]] = []  # (node, parent)
-    needed = False
-    for root in sorted(adj):
-        if root in seen:
-            continue
-        parent: Dict[int, Optional[int]] = {root: None}
-        depth = {root: 0}
-        frontier = [root]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for (w, _tok) in adj[v]:
-                    if w not in parent:
-                        parent[w] = v
-                        depth[w] = depth[v] + 1
-                        nxt.append(w)
-            frontier = nxt
-        seen.update(parent)
-        nodes = [v for v in parent if v != root]
-        nodes.sort(key=lambda v: (-depth[v], -v))
-        for x in nodes:
-            p = parent[x]
-            proc.append((x, p))
-            edge = _find_edge(t, x, p)
-            if _tokens_at(t, x, skip_delta=edge):
-                needed = True
-    if not needed:
-        return None
-
-    results = [t]
-    for (x, p) in proc:
-        nxt: List[Term] = []
-        for term in results:
-            nxt.extend(_move_leaf(term, x, p, realization))
-        results = nxt
-    return results
-
-
-def _find_edge(t: Term, x: int, p: int) -> Tuple[int, int, int]:
-    a, b = min(x, p), max(x, p)
-    for tok in t.deltas:
-        if (tok[0], tok[1]) == (a, b):
-            return tok
-    raise AssertionError(f"no delta edge between {x} and {p}")
-
-
-def _move_leaf(term: Term, x: int, p: int, realization) -> List[Term]:
-    edge = _find_edge(term, x, p)
-    rest = tuple(tok for tok in term.deltas if tok != edge)
-    base = term._replace(deltas=rest)
-    if not _tokens_at(base, x) and not any(q == x for q, _ in base.exps):
-        return [term]
-    k = edge[2]
+def _move_leaf(term: Term, x: int, edge: Tuple[int, int, int], realization) -> List[Term]:
+    """Move every factor at x onto the other end p of the delta ``edge``.
+    A plain delta moves it by support relabeling, f(u_x) delta(u_p - u_x) =
+    f(u_p) delta(u_p - u_x); a derivative delta by the Leibniz exchange
+    G(v) d^k delta(u-v) = sum_l C(k,l) G^(l)(u) d^(k-l) delta(u-v) (with an
+    extra (-1)^l when G sits at the derivative endpoint u).  A wavy or
+    dotted factor that a plain delta closes onto one point (on the circle,
+    as both ends of a forest edge are) raises :class:`StructuralViolation`."""
+    (i, j, k) = edge
+    p = j if x == i else i
+    base = term._replace(deltas=tuple(tok for tok in term.deltas if tok != edge))
     mapping = {x: p}
     if k == 0:
         moved = base.relabel(mapping)
+        for (family, _k, a, b) in moved.smooth:
+            if family in ("wavy", "D") and a == b == p:
+                raise StructuralViolation(
+                    "wavy/dotted factor closed onto a single point by delta support")
         return [moved._replace(deltas=tuple(sorted(moved.deltas + (edge,))))]
-    deriv_end = x == edge[0]
+    deriv_end = x == i
     out: List[Term] = []
     layer: List[Term] = [base]
     for l in range(0, k + 1):
         c = math.comb(k, l) * ((-1) ** l if deriv_end else 1)
         for tt in layer:
             moved = tt._replace(coeff=tt.coeff.scale(c)).relabel(mapping)
-            residual = (edge[0], edge[1], k - l)
+            residual = (i, j, k - l)
             out.append(moved._replace(deltas=tuple(sorted(moved.deltas + (residual,)))))
         if l < k:
             layer = [t2 for tt in layer for t2 in d_du(tt, x, realization)]

@@ -22,6 +22,7 @@ import os
 from fractions import Fraction
 
 from loopcorr.algebra import CURRENTS_A, CURRENTS_K, SectorConfig
+from loopcorr.distributions import canonicalize
 from loopcorr.renorm import CurrentWord, RenormScheme, evaluate_correlator
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_to_json.json")
@@ -73,6 +74,17 @@ def test_canonical_json_is_unchanged():
     assert sorted(got) == sorted(want), "the golden ladder itself changed"
     changed = [label for label in want if got[label] != want[label]]
     assert not changed, f"canonical JSON changed for {len(changed)} words, first: {changed[:5]}"
+
+
+def test_ladder_results_are_fixed_points():
+    # canonicalize runs one pass and no confirmation pass, so every result
+    # must come out of it finished
+    moved = []
+    for label, word, scheme in ladder():
+        got = evaluate_correlator(word, scheme)
+        if canonicalize(got).to_json() != got.to_json():
+            moved.append(label)
+    assert not moved, f"canonicalize moved {len(moved)} results, first: {moved[:5]}"
 
 
 if __name__ == "__main__":
