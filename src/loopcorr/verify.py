@@ -368,10 +368,14 @@ def gaussian_oracle(names: Sequence[str], points: Sequence[CirclePoint],
     letter; insertion k sits at points[k].  Completely independent of the
     diagram enumeration: currents are expanded, a/b letters are normal
     ordered away, and the residue is evaluated by Gaussian pairing.
+    Raises ``ValueError`` for a point outside the closed unit disc.
     """
     pts = dict(enumerate(points))
     if len(pts) != len(names):
         raise ValueError("need exactly one point per insertion")
+    for pt in points:
+        if not (0 <= float(pt.r) <= 1):
+            raise ValueError(f"radius {pt.r} outside [0, 1]")
     if trunc < 0:
         raise ValueError(f"the mode truncation must be >= 0, got {trunc}")
     xi0 = _xi0(seq, exact)

@@ -131,6 +131,8 @@ def test_gram_single_word(capsys):
     ["gram", "J3(1)", "--degree", "-1"],
     ["gram", "J3(1)", "--trunc", "-3"],
     ["oracle", "ap(1) am(2)", "--trunc", "-3"],
+    ["oracle", "ap(1) am(2)", "--radius", "5"],
+    ["oracle", "ap(1) am(2)", "--radius", "-1"],
     ["commcheck", "--context", "-1"],
     ["selfcheck", "--context", "-1"],
     ["selfcheck", "--context", "0", "--max-len", "-2"],

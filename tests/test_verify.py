@@ -271,3 +271,13 @@ def test_expression_value_rejects_negative_truncation():
     expression_value(e, points, SEQ, trunc=0)  # the boundary is accepted
     with pytest.raises(ValueError, match="trunc"):
         expression_value(e, points, SEQ, trunc=-5)
+
+
+def test_oracle_rejects_points_outside_the_disc():
+    # the mode sums diverge or lose their meaning off the closed unit disc
+    names = ("alpha+", "alpha-")
+    for r in (1, 0):  # the boundaries are accepted
+        gaussian_oracle(names, [CirclePoint(r, 0), CirclePoint(r, Fraction(1, 2))], K, SEQ, trunc=4)
+    for r in (5, -1, Fraction(11, 10)):
+        with pytest.raises(ValueError, match="radius"):
+            gaussian_oracle(names, [CirclePoint(Fraction(1, 2), 0), CirclePoint(r, 0)], K, SEQ, trunc=4)
