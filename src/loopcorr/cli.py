@@ -20,7 +20,8 @@ from fractions import Fraction
 from typing import Dict, List, Tuple
 
 from . import verify
-from .algebra import CURRENTS_A, CURRENTS_K, SectorConfig, classical_check, star_check
+from .algebra import (CURRENTS_A, CURRENTS_K, SectorConfig, classical_check, current_def,
+                      star_check)
 from .diagrams import enumerate_diagrams, loop_components, to_dot
 from .errors import LoopcorrError, ParseError, RealizationMismatch
 from .kernels import CirclePoint, XiSequence
@@ -30,7 +31,6 @@ logger = logging.getLogger(__name__)
 
 _SYMBOLS = {"J3": "J3", "Jp": "J+", "Jm": "J-", "E": "E", "F": "F", "H": "H"}
 _RENDER = {v: k for k, v in _SYMBOLS.items()}
-_REALM = {"J+": "K", "J-": "K", "J3": "K", "E": "A", "F": "A", "H": "A"}
 # primitive letters accepted by the oracle subcommand
 _LETTERS = {
     "a": "a", "b": "b", "h": "h", "rho": "rho",
@@ -80,7 +80,7 @@ def parse_word(text: str, symbols: Dict[str, str] = _SYMBOLS) -> Tuple[str, ...]
 
 def parse_current_word(text: str) -> CurrentWord:
     names = parse_word(text)
-    realms = {_REALM[nm] for nm in names}
+    realms = {current_def(nm).realization for nm in names}
     if len(realms) > 1:
         raise RealizationMismatch(f"word mixes realizations {sorted(realms)}: {text!r}")
     return CurrentWord.from_names(names)
@@ -112,7 +112,10 @@ def _scheme(args) -> RenormScheme:
         if args.mu:
             raise ValueError("--mu has no effect under --policy drop-loops (every mu_k = 0)")
         return RenormScheme.drop_loops(cfg)
-    data = {key: Fraction(str(val)) for key, val in (_read_json(args.mu) if args.mu else {}).items()}
+    raw = _read_json(args.mu) if args.mu else {}
+    if not isinstance(raw, dict):
+        raise ValueError(f"--mu file must hold a JSON object, got {type(raw).__name__}")
+    data = {key: Fraction(str(val)) for key, val in raw.items()}
     default = data.pop("default", None)
     entries = {int(key): val for key, val in data.items()}
     make = RenormScheme.mu_family if args.policy == "mu" else RenormScheme.unitary_dotted

@@ -248,10 +248,9 @@ class Term:
     smooth: Tuple[Tuple[str, int, int, int], ...] = ()  # (family, k, i, j), i <= j
     exps: Tuple[Tuple[int, int], ...] = ()              # (pos, charge)
     dmarks: Tuple[int, ...] = ()                        # pending d/du_t
-    singular: bool = False
 
     def key(self):
-        return (self.deltas, self.smooth, self.exps, self.dmarks, self.singular)
+        return (self.deltas, self.smooth, self.exps, self.dmarks)
 
     def _replace(self, **changes) -> "Term":
         """``dataclasses.replace`` without its per-field introspection and
@@ -301,8 +300,7 @@ class Term:
                 coeff = coeff.scale(s)
         exps = tuple(sorted((mapping.get(p, p), c) for (p, c) in self.exps))
         dmarks = tuple(sorted(mapping.get(t, t) for t in self.dmarks))
-        return Term(coeff, tuple(sorted(deltas)), tuple(sorted(smooth)), exps, dmarks,
-                    self.singular)
+        return Term(coeff, tuple(sorted(deltas)), tuple(sorted(smooth)), exps, dmarks)
 
 
 @dataclass
@@ -360,7 +358,6 @@ class Expression:
                 "smooth": [list(x) for x in t.smooth],
                 "exps": [list(x) for x in t.exps],
                 "dmarks": list(t.dmarks),
-                "singular": t.singular,
             })
         radii = {str(k): (rat(Fraction(v)) if not isinstance(v, float) else v)
                  for k, v in self.radii.items()}
@@ -382,7 +379,6 @@ class Expression:
                 tuple((str(f), k, i, j) for f, k, i, j in t["smooth"]),
                 tuple(tuple(x) for x in t["exps"]),
                 tuple(t["dmarks"]),
-                t["singular"],
             ))
         radii = {int(k): (Fraction(v) if isinstance(v, str) else v)
                  for k, v in data["radii"].items()}
@@ -488,23 +484,20 @@ def detect_singular(expr: Expression) -> List[dict]:
             seen_pairs.add((i, j))
             if not uf.union(i, j):
                 reports.append({"term": n, "kind": "cycle", "pair": (i, j)})
-        if t.singular:
-            reports.append({"term": n, "kind": "flagged", "pair": None})
     return reports
 
 
 _ONE = Coeff.one()
 
 
-def canonicalize(expr: Expression, allow_singular: bool = False) -> Expression:
-    """Rewrite to canonical form.  Raises :class:`SingularProduct` on
-    delta-square patterns unless ``allow_singular`` (then such terms are
-    carried with their ``singular`` flag and skipped by the rewrites)."""
-    terms = _pass_once(list(expr.terms), expr.on_circle, expr.realization, allow_singular)
+def canonicalize(expr: Expression) -> Expression:
+    """Rewrite to canonical form.  A term that stays divergent on the circle
+    raises (see :func:`_rewrite`)."""
+    terms = _pass_once(list(expr.terms), expr.on_circle, expr.realization)
     return Expression(terms, expr.realization, dict(expr.radii))
 
 
-def _pass_once(terms: List[Term], on_circle, realization, allow_singular) -> List[Term]:
+def _pass_once(terms: List[Term], on_circle, realization) -> List[Term]:
     """Rewrite every term until it is finished.  Each rewrite multiplies the
     coefficient by an integer, so what a term rewrites to depends on its
     structure (``Term.key()``) alone, with coefficients linear in its own:
@@ -533,7 +526,7 @@ def _pass_once(terms: List[Term], on_circle, realization, allow_singular) -> Lis
                 t = t._replace(coeff=_ONE)
             elif coeff is not t.coeff:
                 t = t._replace(coeff=coeff)
-            done, successors = _rewrite(t, on_circle, realization, allow_singular)
+            done, successors = _rewrite(t, on_circle, realization)
             if done is not None and not cancelled:
                 out.append(done)
             for s in successors:
@@ -558,7 +551,7 @@ def _gather(level: Dict[tuple, list], t: Term, coeff: Coeff, live: bool) -> None
         entry[2] = entry[2] or live
 
 
-def _rewrite(t: Term, on_circle, realization, allow_singular) -> Tuple[Optional[Term], List[Term]]:
+def _rewrite(t: Term, on_circle, realization) -> Tuple[Optional[Term], List[Term]]:
     """One rewrite step of a term with a nonzero coefficient: (finished
     term, []) when no rule applies, else (None, successors).
 
@@ -571,24 +564,28 @@ def _rewrite(t: Term, on_circle, realization, allow_singular) -> Tuple[Optional[
     children have moved before it does, and the content of each tree ends
     on its root, the smallest index, with every other node a bare leaf of
     the root: the star form.  A term returned as finished is one where no
-    node carries content, so rewriting it again finishes it unchanged."""
+    node carries content, so rewriting it again finishes it unchanged.
+
+    This is the one place where divergence is decided: a delta-square
+    pattern raises :class:`SingularProduct`; an odd self factor (i == j) is
+    exactly zero and drops the term; a wavy or dotted self factor on the
+    circle raises :class:`StructuralViolation`, whatever deltas closed it."""
     # expand pending derivative markers
     if t.dmarks:
         return None, d_du(t._replace(dmarks=t.dmarks[1:]), t.dmarks[0], realization)
     if t.exps and charge_vanishes(realization, (c for _, c in t.exps)):
         return None, []
-    if t.singular:
-        return t.sorted(), []
     forest = _delta_forest(t, on_circle)
     if forest is None:
-        if not allow_singular:
-            raise SingularProduct(
-                "delta-square pattern outside a loop-renormalization context: "
-                f"{t.deltas}")
-        return t._replace(singular=True).sorted(), []
+        raise SingularProduct(
+            "delta-square pattern outside a loop-renormalization context: "
+            f"{t.deltas}")
     t = _orient_charges(_merge_exps(t))
-    if _has_odd_self(t):
+    if any(i == j and k % 2 == 1 for (_f, k, i, j) in t.smooth):
         return None, []
+    for (family, _k, i, j) in t.smooth:
+        if i == j and family in ("wavy", "D") and on_circle(i):
+            raise StructuralViolation(f"{family} factor closed onto on-circle point {i}")
     for x, edge in forest:
         if _tokens_at(t, x, skip_delta=edge):
             return None, _move_leaf(t, x, edge, realization)
@@ -664,10 +661,6 @@ def _orient_charges(t: Term) -> Term:
     return t
 
 
-def _has_odd_self(t: Term) -> bool:
-    return any(i == j and k % 2 == 1 for (_f, k, i, j) in t.smooth)
-
-
 def _tokens_at(t: Term, x: int, skip_delta: Tuple[int, int, int]) -> bool:
     """Whether any factor other than ``skip_delta`` references index x."""
     for tok in t.deltas:
@@ -682,19 +675,13 @@ def _move_leaf(term: Term, x: int, edge: Tuple[int, int, int], realization) -> L
     A plain delta moves it by support relabeling, f(u_x) delta(u_p - u_x) =
     f(u_p) delta(u_p - u_x); a derivative delta by the Leibniz exchange
     G(v) d^k delta(u-v) = sum_l C(k,l) G^(l)(u) d^(k-l) delta(u-v) (with an
-    extra (-1)^l when G sits at the derivative endpoint u).  A wavy or
-    dotted factor that a plain delta closes onto one point (on the circle,
-    as both ends of a forest edge are) raises :class:`StructuralViolation`."""
+    extra (-1)^l when G sits at the derivative endpoint u)."""
     (i, j, k) = edge
     p = j if x == i else i
     base = term._replace(deltas=tuple(tok for tok in term.deltas if tok != edge))
     mapping = {x: p}
     if k == 0:
         moved = base.relabel(mapping)
-        for (family, _k, a, b) in moved.smooth:
-            if family in ("wavy", "D") and a == b == p:
-                raise StructuralViolation(
-                    "wavy/dotted factor closed onto a single point by delta support")
         return [moved._replace(deltas=tuple(sorted(moved.deltas + (edge,))))]
     deriv_end = x == i
     out: List[Term] = []
@@ -738,7 +725,7 @@ def smear(expr: Expression, tests: Dict[int, Dict[int, complex]], seq: XiSequenc
     test functions (one mode dict per index, normalized pairing
     integral du/(2 pi) per variable).
 
-    The expression is canonicalized first (singular terms raise).  On-circle
+    The expression is canonicalized first (divergent terms raise).  On-circle
     delta stars turn into derivative products of the member tests attached
     to the root; whatever analytic structure remains is integrated on a
     periodic trapezoid grid of ``grid`` points per variable (spectrally

@@ -158,18 +158,33 @@ class XiSequence:
     def from_config(cls, cfg) -> "XiSequence":
         """Build from a config mapping such as
         ``{"kind": "geometric", "q": "1/2", "xi0": "1"}`` (or its JSON text).
-        String values are parsed as exact rationals."""
+        String values are parsed as exact rationals.  Raises ``ValueError``
+        for a config that is not an object, a missing parameter or a value
+        that is not a finite rational."""
         if isinstance(cfg, str):
             cfg = json.loads(cfg)
+        if not isinstance(cfg, dict):
+            raise ValueError(f"a sequence config must be an object, got {type(cfg).__name__}")
         kind = cfg.get("kind")
+        needs = {"geometric": ("q",), "power-law": ("s",), "explicit": ("head", "tail_ratio")}
+        if kind not in needs:
+            raise ValueError(f"unknown sequence kind {kind!r}")
+        missing = [key for key in needs[kind] if key not in cfg]
+        if missing:
+            raise ValueError(f"a {kind} sequence needs {', '.join(missing)}")
+        head = cfg.get("head", []) if kind == "explicit" else []
+        if not isinstance(head, list):
+            raise ValueError(f"head must be a list, got {head!r}")
         xi0 = cfg.get("xi0", 1)
+        for v in [cfg[key] for key in needs[kind] if key != "head"] + head + [xi0]:
+            if (isinstance(v, bool) or not isinstance(v, (int, float, str))
+                    or (isinstance(v, float) and not math.isfinite(v))):
+                raise ValueError(f"sequence parameters must be finite rationals, got {v!r}")
         if kind == "geometric":
             return cls.geometric(cfg["q"], xi0)
         if kind == "power-law":
             return cls.power_law(cfg["s"], xi0)
-        if kind == "explicit":
-            return cls.explicit(cfg["head"], cfg["tail_ratio"], xi0)
-        raise ValueError(f"unknown sequence kind {kind!r}")
+        return cls.explicit(head, cfg["tail_ratio"], xi0)
 
     # -- values ------------------------------------------------------------
 
@@ -310,7 +325,9 @@ def _n_kernel_tail(seq: XiSequence, rho: float, trunc: int) -> float:
         s = float(seq.s)
         if rho < 1:
             return _geom_tail(2.0 * (trunc + 1) ** (-s) * rho ** (trunc + 1), rho)
-        # on the circle: integral comparison
+        # on the circle: integral comparison, and zeta(s) <= s / (s - 1)
+        if trunc == 0:
+            return 2.0 * s / (s - 1.0)
         return 2.0 * trunc ** (1.0 - s) / (s - 1.0)
     # explicit head + geometric tail
     m = len(seq.head)
@@ -368,6 +385,14 @@ def _d_converges(seq: XiSequence, rho: float) -> bool:
     return rho < float(seq.tail_ratio)
 
 
+def _check_request(p1: CirclePoint, p2: CirclePoint, trunc: int) -> None:
+    for pt in (p1, p2):
+        if not (0 <= float(pt.r) <= 1):
+            raise ValueError(f"radius {pt.r} outside [0, 1]")
+    if trunc < 0:
+        raise ValueError(f"the mode truncation must be >= 0, got {trunc}")
+
+
 def kernel_eval(
     kid: KernelId,
     seq: XiSequence,
@@ -377,13 +402,11 @@ def kernel_eval(
 ) -> KernelValue:
     """Evaluate a kernel at two points, truncating the mode sum at ``trunc``.
 
-    Requires |z| <= 1 for both points.  For ``KernelId.D`` the radii must
-    put the series inside its domain of convergence, otherwise
-    :class:`DivergentKernel` is raised.
+    Requires |z| <= 1 for both points and ``trunc >= 0`` (``ValueError``
+    otherwise).  For ``KernelId.D`` the radii must put the series inside its
+    domain of convergence, otherwise :class:`DivergentKernel` is raised.
     """
-    for pt in (p1, p2):
-        if not (0 <= float(pt.r) <= 1):
-            raise ValueError(f"radius {pt.r} outside [0, 1]")
+    _check_request(p1, p2, trunc)
 
     rho = float(p1.r) * float(p2.r)
     exact = seq.exact and p1.exact and p2.exact
@@ -432,8 +455,10 @@ def heisenberg_pair(p1: CirclePoint, p2: CirclePoint, kappa, p, trunc: int = 64)
     than raising, so callers can report it.  On the circle at distinct
     angles the partial sum is returned together with the distributional
     (Abel) closed form 2 kappa x / (1-x)^2; the tail bound is infinite
-    there because the series does not converge pointwise.
+    there because the series does not converge pointwise.  Requires
+    |z| <= 1 for both points and ``trunc >= 0`` (``ValueError`` otherwise).
     """
+    _check_request(p1, p2, trunc)
     rho = float(p1.r) * float(p2.r)
     equal_angle = (float(p1.t) - float(p2.t)) % 1.0 == 0.0
     if p1.on_circle and p2.on_circle and equal_angle:

@@ -54,13 +54,11 @@ from .distributions import (
     gaussian_rule,
     smear,
 )
-from .errors import RealizationMismatch, SingularProduct
+from .errors import RealizationMismatch
 from .kernels import CirclePoint, XiSequence, mode_series
 from .renorm import CurrentWord, RenormScheme, evaluate_correlator
 
 logger = logging.getLogger(__name__)
-
-CURRENT_NAMES = {"J+", "J-", "J3", "E", "F", "H"}
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +379,7 @@ def gaussian_oracle(names: Sequence[str], points: Sequence[CirclePoint],
     xi0 = _xi0(seq, exact)
     expansions: List[List[Tuple[object, Tuple[Tuple[str, int], ...]]]] = []
     for k, nm in enumerate(names):
-        if nm in CURRENT_NAMES:
+        if nm in CURRENTS_K + CURRENTS_A:
             opts = []
             for term in expand_current(nm, k, cfg):
                 cval = _coeff_value(term.coeff, kappa, p, xi0, exact)
@@ -445,8 +443,6 @@ def expression_value(expr: Expression, points: Mapping[int, CirclePoint],
         else:
             flat.append(t)
     for t in flat:
-        if t.singular:
-            raise SingularProduct("cannot evaluate a singular term pointwise")
         v = _coeff_value(t.coeff, kappa, p, xi0, exact)
         factors = [("delta", k, i, j) for (i, j, k) in t.deltas] + list(t.smooth)
         for (family, k, i, j) in factors:

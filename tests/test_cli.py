@@ -53,7 +53,6 @@ def test_eval_json_and_determinism(capsys):
     data = json.loads(first)
     assert data["word"] == "Jp(1) Jm(2)"
     assert data["terms"]
-    assert not any(t["singular"] for t in data["terms"])
     assert main(argv) == 0
     assert capsys.readouterr().out == first
 
@@ -172,6 +171,20 @@ def test_xi_file_config(tmp_path, capsys):
     assert main(["oracle", "ap(1) am(2)", "--trunc", "8"]) == 0
     base = json.loads(capsys.readouterr().out)
     assert alt["real"] != base["real"]
+
+
+@pytest.mark.parametrize("argv, content", [
+    (["oracle", "ap(1) am(2)", "--xi"], {"kind": "geometric"}),
+    (["oracle", "ap(1) am(2)", "--xi"], {"kind": "geometric", "q": [1]}),
+    (["oracle", "ap(1) am(2)", "--xi"], ["geometric"]),
+    (["eval", "Jp(1) Jm(2)", "--policy", "mu", "--mu"], [1, 2]),
+])
+def test_malformed_config_files_are_usage_errors(argv, content, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(content))
+    assert main(argv + [str(path)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError"
 
 
 def test_dotted_policy_needs_unitary_sector(tmp_path, capsys):

@@ -130,12 +130,38 @@ def test_plain_deltas_cannot_close_a_wavy_or_dotted_factor(family):
         canonicalize(expr([t]))
 
 
+@pytest.mark.parametrize("family", ["wavy", "D"])
+@pytest.mark.parametrize("deltas", [
+    ((0, 2, 1),),
+    ((0, 1, 0), (1, 2, 1)),
+    ((0, 1, 1), (1, 2, 0)),
+])
+def test_any_deltas_closing_a_wavy_or_dotted_factor_raise(deltas, family):
+    # the closure rule does not depend on the kind of the closing delta:
+    # across delta'(0,2) the factor on (0, 2) lands on (0, 0) as well
+    e = expr([term(1, deltas=deltas, smooth=((family, 0, 0, 2),))])
+    with pytest.raises(StructuralViolation):
+        canonicalize(e)
+    with pytest.raises(StructuralViolation):
+        smear(e, {0: {0: 1}, 1: {0: 1}, 2: {0: 1}}, SEQ, trunc=4, grid=8)
+
+
+def test_odd_self_factor_drops_before_the_closure_rule():
+    # NK'(0,0) is exactly zero, so the divergent wavy(0,0) beside it is
+    # multiplied by zero and the term drops instead of raising
+    t = term(1, smooth=(("NK", 1, 0, 0), ("wavy", 0, 0, 0)))
+    assert canonicalize(expr([t])).terms == []
+    with pytest.raises(StructuralViolation):
+        canonicalize(expr([term(1, smooth=(("wavy", 0, 0, 0),))]))
+    # inside the disc the same self factor is a finite function
+    inside = expr([term(1, smooth=(("wavy", 0, 0, 0),))], radii={0: Fraction(1, 2)})
+    assert len(canonicalize(inside).terms) == 1
+
+
 def test_delta_cycle_is_singular():
     t = term(1, deltas=((1, 2, 0), (2, 3, 0), (1, 3, 0)))
     with pytest.raises(SingularProduct):
         canonicalize(expr([t]))
-    out = canonicalize(expr([t]), allow_singular=True)
-    assert out.terms[0].singular
     assert detect_singular(expr([t]))
 
 
@@ -147,7 +173,6 @@ def test_cancelling_singular_terms_still_raise():
         pair = expr([term(1, deltas=square, dmarks=dmarks), term(-1, deltas=square, dmarks=dmarks)])
         with pytest.raises(SingularProduct):
             canonicalize(pair)
-        assert canonicalize(pair, allow_singular=True).terms == []
     # a term with a zero coefficient is never rewritten
     assert canonicalize(expr([Term(Coeff(), deltas=square)])).terms == []
 
@@ -164,7 +189,6 @@ def test_inside_disc_deltas_are_not_distributions():
     e = expr([t], radii={1: Fraction(1, 2), 2: Fraction(1, 2), 3: Fraction(1, 2)})
     out = canonicalize(e)
     assert len(out.terms) == 1
-    assert not out.terms[0].singular
     assert detect_singular(e) == []
 
 

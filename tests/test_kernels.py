@@ -175,3 +175,34 @@ def test_radius_validation():
     seq = XiSequence.geometric(Fraction(1, 2))
     with pytest.raises(ValueError):
         kernel_eval(KernelId.NK, seq, CirclePoint(Fraction(3, 2), 0), CirclePoint(1, 0))
+    with pytest.raises(ValueError):
+        heisenberg_pair(CirclePoint(2, 0), CirclePoint(1, Fraction(1, 4)), 1, 0, trunc=8)
+
+
+def test_negative_truncation_is_rejected():
+    seq = XiSequence.power_law(2)
+    with pytest.raises(ValueError):
+        kernel_eval(KernelId.NK, seq, CirclePoint(1, Fraction(1, 4)), CirclePoint(1, 0), trunc=-1)
+    with pytest.raises(ValueError):
+        heisenberg_pair(CirclePoint(Fraction(1, 2), 0), CirclePoint(1, 0), 1, 0, trunc=-2)
+
+
+def test_power_law_bound_at_zero_truncation():
+    # the whole series 2 sum_n n^-2 cos(n pi / 2) = -pi^2 / 24 is bounded by 2 zeta(2) <= 4
+    seq = XiSequence.power_law(2)
+    res = kernel_eval(KernelId.NK, seq, CirclePoint(1, Fraction(1, 4)), CirclePoint(1, 0), trunc=0)
+    assert res.value == 0
+    assert res.tail_bound == 4.0
+    assert abs(-math.pi**2 / 24 - res.value) <= res.tail_bound
+
+
+@pytest.mark.parametrize("cfg", [
+    {"kind": "geometric"},
+    {"kind": "geometric", "q": [1]},
+    {"kind": "geometric", "q": "one half"},
+    {"kind": "explicit", "head": "1/2", "tail_ratio": "1/2"},
+    ["geometric"],
+])
+def test_from_config_rejects_malformed_configs(cfg):
+    with pytest.raises(ValueError):
+        XiSequence.from_config(cfg)
