@@ -470,11 +470,11 @@ def heisenberg_pair(p1: CirclePoint, p2: CirclePoint, kappa, p, trunc: int = 64)
         k = sp.nsimplify(kappa)
         total = sp.nsimplify(p) ** 2 + 2 * k * mode_series(x, 0, 0, "wavy", None, trunc, exact=True)
         value = sp.simplify(total)
-        closed = sp.simplify(sp.nsimplify(p) ** 2 + 2 * k * x / (1 - x) ** 2) if rho <= 1 else None
+        closed = sp.simplify(sp.nsimplify(p) ** 2 + 2 * k * x / (1 - x) ** 2)
     else:
         x = p1.to_complex().conjugate() * p2.to_complex()
         value = complex(p) ** 2 + 2 * complex(kappa) * mode_series(x, 0, 0, "wavy", None, trunc)
-        closed = complex(p) ** 2 + 2 * complex(kappa) * x / (1 - x) ** 2 if rho <= 1 else None
+        closed = complex(p) ** 2 + 2 * complex(kappa) * x / (1 - x) ** 2
 
     if rho < 1:
         # exact tail of sum_{n>N} n rho^n; for a symbolic kappa the bound is
