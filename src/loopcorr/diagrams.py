@@ -60,8 +60,7 @@ class VertexChoice:
     deriv: bool = False            # exponential carries an angle derivative
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     kind: str     # "a" | "b" | "dot"
     source: int
     target: int
@@ -123,44 +122,61 @@ def vertex_choices(name: str, position: int, cfg: SectorConfig) -> Tuple[VertexC
 
 
 def _resolve_stubs(choices: Sequence[VertexChoice], cfg: SectorConfig
-                   ) -> Iterator[Tuple[Edge, ...]]:
-    """All complete stub resolutions for a fixed choice of vertex terms."""
-    n = len(choices)
+                   ) -> Iterator[Tuple[Tuple[Edge, ...], List[Loop]]]:
+    """All complete stub resolutions for a fixed choice of vertex terms, each
+    with its loops: the :func:`loop_components` of a diagram with its edges.
 
-    def rec(s: int, consumed: Set[int], hits: Set[int], edges: List[Edge]):
+    The plain edges placed so far are joined in a union-find that is undone
+    on backtrack.  The loops change only when a plain edge closes a cycle or
+    joins two components that both carry one, and only then does
+    :func:`loop_components` run, on the edges placed so far; any other edge
+    hangs a tree onto a component and leaves every cycle as it was.  The
+    loop lists are shared between structures and must not be changed."""
+    n = len(choices)
+    word = tuple(ch.current for ch in choices)
+    uf = UnionFind()
+
+    def rec(s: int, consumed: Set[int], hits: Set[int], edges: List[Edge], loops: List[Loop]):
+        while s < n and (choices[s].stub is None or s in consumed):
+            s += 1
         if s == n:
-            yield tuple(edges)
+            yield tuple(edges), loops
             return
-        ch = choices[s]
-        if ch.stub is None or s in consumed:
-            yield from rec(s + 1, consumed, hits, edges)
-            return
-        if ch.stub == "a":
-            targets = range(s + 1, n)
-        else:
-            targets = range(s - 1, -1, -1)
+        stub = choices[s].stub
+        targets = range(s + 1, n) if stub == "a" else range(s - 1, -1, -1)
         for t in targets:
             tc = choices[t]
             if tc.charge is not None:
-                edges.append(Edge(ch.stub, s, t, "exp"))
-                yield from rec(s + 1, consumed, hits, edges)
+                edges.append(Edge(stub, s, t, "exp"))
+                cyclic = {uf.find(loop.pairs[0][0]) for loop in loops} if loops else ()
+                absorbed = uf.union(s, t)
+                # With one stub per insertion a component has no more edges
+                # than vertices, so two cyclic components never join; the
+                # case stays so that the census checks that bound.
+                if absorbed is None or (absorbed in cyclic and uf.find(absorbed) in cyclic):
+                    found = loop_components(Diagram(word, choices, tuple(edges)))
+                    yield from rec(s + 1, consumed, hits, edges, found)
+                else:
+                    yield from rec(s + 1, consumed, hits, edges, loops)
+                if absorbed is not None:
+                    uf.undo(absorbed)
                 edges.pop()
             if tc.terminal and t not in hits:
-                edges.append(Edge(ch.stub, s, t, "terminal"))
+                edges.append(Edge(stub, s, t, "terminal"))
                 hits.add(t)
-                yield from rec(s + 1, consumed, hits, edges)
+                yield from rec(s + 1, consumed, hits, edges, loops)
                 hits.discard(t)
                 edges.pop()
-            if (ch.stub == "a" and cfg.unitary and tc.stub == "b"
+            if (stub == "a" and cfg.unitary and tc.stub == "b"
                     and t not in consumed):
                 edges.append(Edge("dot", s, t, "stub"))
                 consumed.add(t)
-                yield from rec(s + 1, consumed, hits, edges)
+                yield from rec(s + 1, consumed, hits, edges, loops)
                 consumed.discard(t)
                 edges.pop()
         # a stub with no accepted target annihilates the diagram: no yield
 
-    yield from rec(0, set(), set(), [])
+    yield from rec(0, set(), set(), [], [])
 
 
 def _rho_matchings(positions: Sequence[int]
@@ -184,7 +200,7 @@ def enumerate_diagrams(word: Sequence[str], cfg: SectorConfig) -> Iterator[Diagr
     per_vertex = [vertex_choices(nm, k, cfg) for k, nm in enumerate(word)]
     for combo in itertools.product(*per_vertex):
         rho_pos = [c.position for c in combo if c.rho]
-        for edges in _resolve_stubs(combo, cfg):
+        for edges, _loops in _resolve_stubs(combo, cfg):
             for pairs, singles in _rho_matchings(rho_pos):
                 yield Diagram(word, combo, edges, pairs, singles)
 
@@ -329,12 +345,13 @@ def loop_components(diagram: Diagram) -> List[Loop]:
     Only plain (k = 0) solid edges count: terminal hits are delta' edges and
     dotted edges are not deltas at all.  An edge whose ends are already
     joined closes a cycle; once pendant edges are stripped, the cycle edges
-    remain.
+    remain.  The components come in the order of their smallest cycle pair,
+    which no pendant edge added later can change.
     """
     pairs = [(e.source, e.target) if e.source < e.target else (e.target, e.source)
              for e in diagram.edges if e.into == "exp"]
     uf = UnionFind()
-    closing = [i for (i, j) in pairs if not uf.union(i, j)]
+    closing = [i for (i, j) in pairs if uf.union(i, j) is None]
     if not closing:
         return []
     while True:
@@ -346,7 +363,7 @@ def loop_components(diagram: Diagram) -> List[Loop]:
     roots = [uf.find(i) for i in closing]
     pairs.sort()
     return [Loop(roots.count(r), tuple(pair for pair in pairs if uf.find(pair[0]) == r))
-            for r in sorted(set(roots))]
+            for r in dict.fromkeys(uf.find(i) for (i, _) in pairs)]
 
 
 @dataclass
@@ -367,7 +384,8 @@ class CensusReport:
 
 def loop_census(word: Sequence[str], cfg: SectorConfig) -> CensusReport:
     """Stream over stub structures (term multiplicities and Heisenberg
-    matchings do not change the delta-edge graph) and tally loop content."""
+    matchings do not change the delta-edge graph) and tally the loops that
+    :func:`_resolve_stubs` tracks for each."""
     word = tuple(word)
     per_vertex = []
     for k, nm in enumerate(word):
@@ -380,9 +398,8 @@ def loop_census(word: Sequence[str], cfg: SectorConfig) -> CensusReport:
     loops: Counter = Counter()
     max_betti = 0
     for combo in itertools.product(*per_vertex):
-        for edges in _resolve_stubs(combo, cfg):
+        for _edges, found in _resolve_stubs(combo, cfg):
             total += 1
-            found = loop_components(Diagram(word, combo, edges))
             for loop in found:
                 max_betti = max(max_betti, loop.betti)
                 if loop.betti == 1:

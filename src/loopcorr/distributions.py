@@ -444,27 +444,37 @@ def d_du(term: Term, idx: int, realization: Optional[str]) -> List[Term]:
 
 
 class UnionFind:
-    """Disjoint sets of indices; the smallest index of a set is its root."""
+    """Disjoint sets of indices; the smallest index of a set is its root.
+
+    There is no path compression, so every union can be undone: ``union``
+    links the larger root under the smaller one and returns it, and
+    ``undo`` unlinks it again.  Undoing the unions in reverse order restores
+    every earlier state (a union-find with backtracking; Westbrook and
+    Tarjan, SIAM J. Comput. 1989)."""
 
     def __init__(self):
-        self.p: Dict[int, int] = {}
+        self.p: Dict[int, int] = {}   # non-root index -> its parent
 
     def find(self, x: int) -> int:
-        self.p.setdefault(x, x)
-        while self.p[x] != x:
-            self.p[x] = self.p[self.p[x]]
-            x = self.p[x]
+        p = self.p
+        while x in p:
+            x = p[x]
         return x
 
-    def union(self, a: int, b: int) -> bool:
-        """Returns False if a and b were already connected."""
+    def union(self, a: int, b: int) -> Optional[int]:
+        """Join the sets of a and b and return the root absorbed, or None if
+        they were already joined."""
         ra, rb = self.find(a), self.find(b)
         if ra == rb:
-            return False
+            return None
         if ra > rb:
             ra, rb = rb, ra
         self.p[rb] = ra
-        return True
+        return rb
+
+    def undo(self, root: int) -> None:
+        """Reverse the union that absorbed ``root``."""
+        del self.p[root]
 
 
 def detect_singular(expr: Expression) -> List[dict]:
@@ -482,7 +492,7 @@ def detect_singular(expr: Expression) -> List[dict]:
                 reports.append({"term": n, "kind": "repeated-pair", "pair": (i, j)})
                 continue
             seen_pairs.add((i, j))
-            if not uf.union(i, j):
+            if uf.union(i, j) is None:
                 reports.append({"term": n, "kind": "cycle", "pair": (i, j)})
     return reports
 

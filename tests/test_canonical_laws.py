@@ -2,7 +2,8 @@
 K and A words of length <= 4 in either sector: the canonical form does not
 depend on the order of the terms, is a fixed point, can be taken of any
 part of a sum first, and commutes with renaming the insertions.  The JSON
-encoding round-trips byte for byte."""
+encoding round-trips byte for byte.  Off the circle, canonicalizing a raw
+correlator keeps its pointwise value."""
 
 import functools
 from fractions import Fraction
@@ -10,9 +11,11 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from loopcorr.algebra import CURRENTS_A, CURRENTS_K, SectorConfig
-from loopcorr.diagrams import enumerate_diagrams
+from loopcorr.diagrams import correlator_expression, enumerate_diagrams
 from loopcorr.distributions import Expression, canonicalize
+from loopcorr.kernels import CirclePoint, XiSequence
 from loopcorr.renorm import CurrentWord, RenormScheme, evaluate_correlator, renormalize_diagram
+from loopcorr.verify import expression_value
 
 LAWS = settings(max_examples=25, deadline=None, derandomize=True, database=None)
 
@@ -118,3 +121,35 @@ def test_json_round_trip_of_raw_terms(raw):
     terms, realization = raw
     text = Expression(terms, realization, {0: Fraction(1, 3), 1: 0.5}).to_json()
     assert Expression.from_json(text).to_json() == text
+
+
+def _fractions(lo):
+    """Rational n/d with lo <= n < d, d <= 12."""
+    return st.integers(2, 12).flatmap(lambda d: st.integers(lo, d - 1).map(
+        lambda n: Fraction(n, d)))
+
+
+@st.composite
+def raw_correlators_inside(draw):
+    """The raw correlator of a random word of length 1 to 3 in any of the four
+    sectors, each insertion at a rational radius in (0, 1) and angle."""
+    realization = draw(st.sampled_from(("K", "A")))
+    currents = CURRENTS_K if realization == "K" else CURRENTS_A
+    names = tuple(draw(st.lists(st.sampled_from(currents), min_size=1, max_size=3)))
+    cfg = SectorConfig(realization, draw(st.sampled_from(("nonunitary", "unitary"))))
+    points = {k: CirclePoint(draw(_fractions(1)), draw(_fractions(0))) for k in range(len(names))}
+    radii = {k: pt.r for k, pt in points.items()}
+    return correlator_expression(names, cfg, radii), points
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(raw_correlators_inside())
+def test_canonicalize_keeps_the_pointwise_value_inside_the_disc(case):
+    raw, points = case
+    seq = XiSequence.geometric(Fraction(1, 2))
+
+    def value(e):
+        return expression_value(e, points, seq, trunc=8, kappa=0.7, p=0.3)
+
+    want = value(raw)
+    assert abs(value(canonicalize(raw)) - want) <= 1e-9 * max(1.0, abs(want))

@@ -22,6 +22,7 @@ from loopcorr.diagrams import (
     Edge,
     Loop,
     VertexChoice,
+    _resolve_stubs,
     correlator_expression,
     correlator_terms,
     diagram_weight,
@@ -283,6 +284,40 @@ def test_loop_census_no_multiloop_components():
         rep = loop_census(word, cfg)
         assert rep.max_betti <= 1, word
         assert rep.diagrams > 0
+
+
+def test_tracked_loops_match_loop_components(monkeypatch):
+    # the unitary sector's dotted edges must not count as loop edges, and the
+    # recursion calls loop_components only where the edge it just placed
+    # changes the loops
+    def changing(diagram):
+        found = loop_components(diagram)
+        assert found != loop_components(Diagram(diagram.word, diagram.choices,
+                                                diagram.edges[:-1])), diagram.edges
+        return found
+
+    monkeypatch.setattr("loopcorr.diagrams.loop_components", changing)
+    for cfg in (K, KU, A, AU):
+        currents = CURRENTS_K if cfg.realization == "K" else CURRENTS_A
+        for n in range(1, 5):
+            for word in itertools.product(currents, repeat=n):
+                per_vertex = [vertex_choices(nm, k, cfg) for k, nm in enumerate(word)]
+                for combo in itertools.product(*per_vertex):
+                    for edges, loops in _resolve_stubs(combo, cfg):
+                        assert loops == loop_components(Diagram(word, combo, edges)), edges
+
+
+@pytest.mark.parametrize("word, diagrams, looped, loops", [
+    (("J+", "J-", "J+", "J-", "J3"), 1536, 711, {2: 528, 3: 168, 4: 30}),
+    (("J3", "J+", "J3", "J-", "J3"), 330, 45, {2: 45}),
+    (("J+", "J+", "J-", "J-", "J+", "J-"), 46656, 29849,
+     {2: 19440, 3: 8640, 4: 3240, 5: 864, 6: 120}),
+    (("J+", "J3", "J-", "J3", "J+", "J-"), 9664, 4109, {2: 3084, 3: 944, 4: 162}),
+])
+def test_loop_census_pinned_reports(word, diagrams, looped, loops):
+    rep = loop_census(word, K)
+    assert (rep.diagrams, rep.looped, dict(rep.loops), rep.max_betti) == (diagrams, looped,
+                                                                         loops, 1)
 
 
 def _bruteforce_census():

@@ -11,6 +11,7 @@ from loopcorr.distributions import (
     Coeff,
     Expression,
     Term,
+    UnionFind,
     canonicalize,
     conjugate,
     d_du,
@@ -181,6 +182,21 @@ def test_repeated_pair_is_singular():
     t = term(1, deltas=((1, 2, 0), (1, 2, 1)))
     with pytest.raises(SingularProduct):
         canonicalize(expr([t]))
+
+
+def test_union_find_joins_and_undoes():
+    uf = UnionFind()
+    assert uf.union(3, 1) == 3
+    assert uf.union(4, 2) == 4
+    assert uf.union(4, 3) == 2          # the smallest index stays the root
+    assert [uf.find(i) for i in (1, 2, 3, 4)] == [1, 1, 1, 1]
+    assert uf.union(2, 3) is None       # ends already joined
+    uf.undo(2)
+    assert [uf.find(i) for i in (1, 2, 3, 4)] == [1, 2, 1, 2]
+    uf.undo(4)
+    uf.undo(3)
+    assert [uf.find(i) for i in (1, 2, 3, 4)] == [1, 2, 3, 4]
+    assert uf.union(0, 4) == 4
 
 
 def test_inside_disc_deltas_are_not_distributions():
