@@ -155,9 +155,9 @@ def _resolve_stubs(choices: Sequence[VertexChoice], cfg: SectorConfig
                 # case stays so that the census checks that bound.
                 if absorbed is None or (absorbed in cyclic and uf.find(absorbed) in cyclic):
                     found = loop_components(Diagram(word, choices, tuple(edges)))
-                    yield from rec(s + 1, consumed, hits, edges, found)
                 else:
-                    yield from rec(s + 1, consumed, hits, edges, loops)
+                    found = loops
+                yield from rec(s + 1, consumed, hits, edges, found)
                 if absorbed is not None:
                     uf.undo(absorbed)
                 edges.pop()

@@ -447,8 +447,8 @@ class UnionFind:
     """Disjoint sets of indices; the smallest index of a set is its root.
 
     There is no path compression, so every union can be undone: ``union``
-    links the larger root under the smaller one and returns it, and
-    ``undo`` unlinks it again.  Undoing the unions in reverse order restores
+    links the larger root under the smaller one and returns the root it
+    absorbed, and ``undo`` unlinks that root again.  Undoing the unions in reverse order restores
     every earlier state (a union-find with backtracking; Westbrook and
     Tarjan, SIAM J. Comput. 1989)."""
 

@@ -315,6 +315,8 @@ def test_tracked_loops_match_loop_components(monkeypatch):
     (("J+", "J3", "J-", "J3", "J+", "J-"), 9664, 4109, {2: 3084, 3: 944, 4: 162}),
 ])
 def test_loop_census_pinned_reports(word, diagrams, looped, loops):
+    # figures of the census that ran loop_components on every structure; the
+    # brute-force census checks no cycle lengths and no word this long
     rep = loop_census(word, K)
     assert (rep.diagrams, rep.looped, dict(rep.loops), rep.max_betti) == (diagrams, looped,
                                                                          loops, 1)
