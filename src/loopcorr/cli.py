@@ -181,7 +181,7 @@ def _cmd_diagrams(args) -> int:
     drawings = [to_dot(d) for d in diags]
     if args.format == "json":
         print(json.dumps({"word": render_word(word.names), "count": len(drawings),
-                          "looped": sum(1 for d in diags if loop_components(d)),
+                          "looped": sum(1 for d in diags if loop_components(d.edges)),
                           "dot": drawings}, sort_keys=True))
     else:
         print("\n".join(drawings))

@@ -124,16 +124,15 @@ def vertex_choices(name: str, position: int, cfg: SectorConfig) -> Tuple[VertexC
 def _resolve_stubs(choices: Sequence[VertexChoice], cfg: SectorConfig
                    ) -> Iterator[Tuple[Tuple[Edge, ...], List[Loop]]]:
     """All complete stub resolutions for a fixed choice of vertex terms, each
-    with its loops: the :func:`loop_components` of a diagram with its edges.
+    with its loops: the :func:`loop_components` of its edges.
 
     The plain edges placed so far are joined in a union-find that is undone
-    on backtrack.  The loops change only when a plain edge closes a cycle or
-    joins two components that both carry one, and only then does
-    :func:`loop_components` run, on the edges placed so far; any other edge
-    hangs a tree onto a component and leaves every cycle as it was.  The
-    loop lists are shared between structures and must not be changed."""
+    on backtrack.  The loops change only when a plain edge closes a cycle,
+    and only then does :func:`loop_components` run, on the edges placed so
+    far; any other edge hangs a tree onto a component and leaves every cycle
+    as it was.  The loop lists are shared between structures and must not be
+    changed."""
     n = len(choices)
-    word = tuple(ch.current for ch in choices)
     uf = UnionFind()
 
     def rec(s: int, consumed: Set[int], hits: Set[int], edges: List[Edge], loops: List[Loop]):
@@ -148,15 +147,8 @@ def _resolve_stubs(choices: Sequence[VertexChoice], cfg: SectorConfig
             tc = choices[t]
             if tc.charge is not None:
                 edges.append(Edge(stub, s, t, "exp"))
-                cyclic = {uf.find(loop.pairs[0][0]) for loop in loops} if loops else ()
                 absorbed = uf.union(s, t)
-                # With one stub per insertion a component has no more edges
-                # than vertices, so two cyclic components never join; the
-                # case stays so that the census checks that bound.
-                if absorbed is None or (absorbed in cyclic and uf.find(absorbed) in cyclic):
-                    found = loop_components(Diagram(word, choices, tuple(edges)))
-                else:
-                    found = loops
+                found = loop_components(edges) if absorbed is None else loops
                 yield from rec(s + 1, consumed, hits, edges, found)
                 if absorbed is not None:
                     uf.undo(absorbed)
@@ -332,38 +324,45 @@ def correlator_expression(word: Sequence[str], cfg: SectorConfig,
 
 
 class Loop(NamedTuple):
-    """A plain-delta component that closes a cycle: its first Betti number
-    and its sorted cycle pairs (i, j), i < j -- one cycle when betti == 1."""
+    """A plain-delta component that closes a cycle: its first Betti number,
+    always 1, and the sorted pairs (i, j), i < j, of its cycle edges."""
 
     betti: int
     pairs: Tuple[Tuple[int, int], ...]
 
 
-def loop_components(diagram: Diagram) -> List[Loop]:
-    """The components of the plain-delta edge graph that close a cycle.
+def loop_components(edges: Sequence[Edge]) -> List[Loop]:
+    """The cycles of the plain-delta edge graph, one per component that
+    closes one, in the order of their smallest pair.
 
     Only plain (k = 0) solid edges count: terminal hits are delta' edges and
-    dotted edges are not deltas at all.  An edge whose ends are already
-    joined closes a cycle; once pendant edges are stripped, the cycle edges
-    remain.  The components come in the order of their smallest cycle pair,
-    which no pendant edge added later can change.
+    dotted edges are not deltas at all.  An insertion has one stub at most,
+    so one plain edge at most leaves it: the graph is functional, each
+    component holds one cycle at most, and that cycle is directed.  A walk
+    along the successors that meets an insertion it has already passed has
+    found its component's cycle.  Two plain edges leaving one insertion
+    raise :class:`StructuralViolation`.
     """
-    pairs = [(e.source, e.target) if e.source < e.target else (e.target, e.source)
-             for e in diagram.edges if e.into == "exp"]
-    uf = UnionFind()
-    closing = [i for (i, j) in pairs if uf.union(i, j) is None]
-    if not closing:
-        return []
-    while True:
-        ends = list(itertools.chain.from_iterable(pairs))
-        core = [(i, j) for (i, j) in pairs if ends.count(i) > 1 and ends.count(j) > 1]
-        if len(core) == len(pairs):
-            break
-        pairs = core
-    roots = [uf.find(i) for i in closing]
-    pairs.sort()
-    return [Loop(roots.count(r), tuple(pair for pair in pairs if uf.find(pair[0]) == r))
-            for r in dict.fromkeys(uf.find(i) for (i, _) in pairs)]
+    succ: Dict[int, int] = {}
+    for e in edges:
+        if e.into == "exp":
+            if e.source in succ:
+                raise StructuralViolation(f"two plain edges leave insertion {e.source}")
+            succ[e.source] = e.target
+    walk: Dict[int, int] = {}
+    loops = []
+    for start in succ:
+        path = []
+        v = start
+        while v in succ and v not in walk:
+            walk[v] = start
+            path.append(v)
+            v = succ[v]
+        if walk.get(v) == start:
+            pairs = [(u, succ[u]) if u < succ[u] else (succ[u], u) for u in path[path.index(v):]]
+            loops.append(Loop(1, tuple(sorted(pairs))))
+    loops.sort()
+    return loops
 
 
 @dataclass
@@ -402,8 +401,7 @@ def loop_census(word: Sequence[str], cfg: SectorConfig) -> CensusReport:
             total += 1
             for loop in found:
                 max_betti = max(max_betti, loop.betti)
-                if loop.betti == 1:
-                    loops[len(loop.pairs)] += 1
+                loops[len(loop.pairs)] += 1
             looped += bool(found)
     return CensusReport(word, total, looped, loops, max_betti)
 

@@ -134,11 +134,9 @@ def renormalize_loop(vertices: Sequence[int], k: int) -> Tuple[Coeff, Tuple]:
 
 def renormalize_diagram(diagram: Diagram, cfg: SectorConfig) -> List[Term]:
     """Weight terms of one diagram with every delta cycle substituted."""
-    loops = loop_components(diagram)
+    loops = loop_components(diagram.edges)
     if not loops:
         return diagram_weight(diagram, cfg)
-    if any(loop.betti > 1 for loop in loops):
-        raise StructuralViolation("a contraction component acquired two independent cycles")
     factor = Coeff.unit()
     removed: List[Tuple[int, int, int]] = []
     chain: List[Tuple[int, int, int]] = []

@@ -33,8 +33,9 @@ from loopcorr.diagrams import (
     vertex_choices,
 )
 from loopcorr.distributions import Coeff, canonicalize
-from loopcorr.errors import RealizationMismatch
+from loopcorr.errors import RealizationMismatch, StructuralViolation
 from loopcorr.kernels import CirclePoint, XiSequence
+from loopcorr.renorm import renormalize_diagram
 from loopcorr.verify import expression_value, gaussian_oracle
 
 N = 10
@@ -237,8 +238,17 @@ def test_structural_invariants():
                     assert e.source < e.target
                 else:
                     assert e.source > e.target
-            for comp in loop_components(d):
+            for comp in loop_components(d.edges):
                 assert comp.betti <= 1
+    # the successor walk of loop_components rests on this: at most one edge
+    # leaves each insertion
+    for cfg in (K, KU, A, AU):
+        currents = CURRENTS_K if cfg.realization == "K" else CURRENTS_A
+        for n in range(1, 5):
+            for word in itertools.product(currents, repeat=n):
+                for d in enumerate_diagrams(word, cfg):
+                    sources = [e.source for e in d.edges]
+                    assert len(sources) == len(set(sources)), (word, d.edges)
 
 
 def _solid_diagram(n, solid, dotted=()):
@@ -251,22 +261,32 @@ def _solid_diagram(n, solid, dotted=()):
 
 
 def test_loop_components_two_cycles_in_one_component():
-    loops = loop_components(_solid_diagram(3, [(0, 1), (1, 0), (1, 2), (2, 1)]))
-    assert len(loops) == 1
-    assert loops[0].betti == 2
+    # two cycles share a component only through an insertion that two plain
+    # edges leave, here 1
+    with pytest.raises(StructuralViolation):
+        loop_components(_solid_diagram(3, [(0, 1), (1, 0), (1, 2), (2, 1)]).edges)
+
+
+def test_two_plain_edges_leaving_one_insertion_raise():
+    # a tree, but no enumerated diagram has two stubs at insertion 0
+    d = _solid_diagram(3, [(0, 1), (0, 2)])
+    with pytest.raises(StructuralViolation):
+        loop_components(d.edges)
+    with pytest.raises(StructuralViolation):
+        renormalize_diagram(d, K)
 
 
 def test_loop_components_disjoint_cycles():
     d = _solid_diagram(5, [(0, 1), (1, 0), (2, 3), (3, 4), (4, 2)])
-    assert loop_components(d) == [Loop(1, ((0, 1), (0, 1))),
-                                  Loop(1, ((2, 3), (2, 4), (3, 4)))]
+    assert loop_components(d.edges) == [Loop(1, ((0, 1), (0, 1))),
+                                        Loop(1, ((2, 3), (2, 4), (3, 4)))]
 
 
 def test_loop_components_strip_pendant_edges():
-    # the pendant edge 2-3 is stripped; the dotted edge 0-3 is no delta
-    d = _solid_diagram(4, [(0, 1), (1, 2), (2, 0), (2, 3)], dotted=[(0, 3)])
-    assert loop_components(d) == [Loop(1, ((0, 1), (0, 2), (1, 2)))]
-    assert loop_components(_solid_diagram(4, [(0, 1), (1, 2), (2, 3)])) == []
+    # the pendant edge 3-2 is stripped; the dotted edge 0-3 is no delta
+    d = _solid_diagram(4, [(0, 1), (1, 2), (2, 0), (3, 2)], dotted=[(0, 3)])
+    assert loop_components(d.edges) == [Loop(1, ((0, 1), (0, 2), (1, 2)))]
+    assert loop_components(_solid_diagram(4, [(0, 1), (1, 2), (2, 3)]).edges) == []
 
 
 def test_loop_census_two_point():
@@ -290,10 +310,9 @@ def test_tracked_loops_match_loop_components(monkeypatch):
     # the unitary sector's dotted edges must not count as loop edges, and the
     # recursion calls loop_components only where the edge it just placed
     # changes the loops
-    def changing(diagram):
-        found = loop_components(diagram)
-        assert found != loop_components(Diagram(diagram.word, diagram.choices,
-                                                diagram.edges[:-1])), diagram.edges
+    def changing(edges):
+        found = loop_components(edges)
+        assert found != loop_components(edges[:-1]), edges
         return found
 
     monkeypatch.setattr("loopcorr.diagrams.loop_components", changing)
@@ -304,7 +323,64 @@ def test_tracked_loops_match_loop_components(monkeypatch):
                 per_vertex = [vertex_choices(nm, k, cfg) for k, nm in enumerate(word)]
                 for combo in itertools.product(*per_vertex):
                     for edges, loops in _resolve_stubs(combo, cfg):
-                        assert loops == loop_components(Diagram(word, combo, edges)), edges
+                        assert loops == loop_components(edges), edges
+
+
+def _bruteforce_loops(edges):
+    """Loops by definition: a plain edge lies on a cycle iff its ends stay
+    joined without it; the cycle edges are grouped by component."""
+    plain = [(e.source, e.target) for e in edges if e.into == "exp"]
+
+    def joined(a, b, pairs):
+        reach, todo = {a}, [a]
+        while todo:
+            v = todo.pop()
+            for i, j in pairs:
+                for x, y in ((i, j), (j, i)):
+                    if x == v and y not in reach:
+                        reach.add(y)
+                        todo.append(y)
+        return b in reach
+
+    on_cycle = [(min(i, j), max(i, j)) for k, (i, j) in enumerate(plain)
+                if joined(i, j, plain[:k] + plain[k + 1:])]
+    groups = []
+    for pair in on_cycle:
+        for group in groups:
+            if joined(pair[0], group[0][0], plain):
+                group.append(pair)
+                break
+        else:
+            groups.append([pair])
+    return sorted(Loop(1, tuple(sorted(group))) for group in groups)
+
+
+@st.composite
+def functional_edge_lists(draw):
+    """Plain, terminal and dotted edges on up to 8 insertions, at most one
+    leaving each insertion, in random order.  The insertions are cut into
+    runs of two or three and each edge first follows its run around, so
+    that several cycles in one list are common; an edge may instead jump to
+    a random target."""
+    n = draw(st.integers(2, 8))
+    edges, lo = [], 0
+    while lo < n:
+        hi = min(n, lo + draw(st.integers(2, 3)))
+        for s in range(lo, hi):
+            t = lo + (s + 1 - lo) % (hi - lo)
+            if t == s or draw(st.integers(0, 4)) == 4:
+                t = draw(st.integers(0, n - 1))
+            into = draw(st.sampled_from(("exp", "exp", "exp", "exp", None, "terminal", "stub")))
+            if into is not None and t != s:
+                edges.append(Edge("dot" if into == "stub" else "a", s, t, into))
+        lo = hi
+    return draw(st.permutations(edges))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(edges=functional_edge_lists())
+def test_loop_components_match_bruteforce_cycles(edges):
+    assert loop_components(edges) == _bruteforce_loops(edges)
 
 
 @pytest.mark.parametrize("word, diagrams, looped, loops", [
