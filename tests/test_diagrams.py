@@ -283,7 +283,7 @@ def test_loop_components_disjoint_cycles():
 
 
 def test_loop_components_strip_pendant_edges():
-    # the pendant edge 3-2 is stripped; the dotted edge 0-3 is no delta
+    # the pendant edge 3-2 is off the cycle; the dotted edge 0-3 is no delta
     d = _solid_diagram(4, [(0, 1), (1, 2), (2, 0), (3, 2)], dotted=[(0, 3)])
     assert loop_components(d.edges) == [Loop(1, ((0, 1), (0, 2), (1, 2)))]
     assert loop_components(_solid_diagram(4, [(0, 1), (1, 2), (2, 3)]).edges) == []
