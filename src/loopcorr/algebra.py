@@ -33,8 +33,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-import sympy as sp
-
 from .distributions import Coeff, orient
 from .errors import RealizationMismatch
 
@@ -325,38 +323,44 @@ def star_check(name: str) -> StarReport:
 class ClassicalOp:
     """Operator in the classical ax+b algebra, normal-ordered as
     sum_c  x^c P_c(h)  where x is alpha (K, h x = x (h - 1)) or e (A,
-    h e = e (h + i));  P_c are sympy polynomials in h and lambda."""
+    h e = e (h + i));  P_c are sympy polynomials in h and lambda.  The
+    constructor expands each part once and drops the zero ones, so the
+    operations below hand it unexpanded sums."""
 
-    def __init__(self, realization: str, parts: Optional[Dict[int, sp.Expr]] = None):
+    def __init__(self, realization: str, parts: Optional[Dict[int, object]] = None):
+        import sympy as sp
+
         self.realization = realization
-        self.parts = {c: sp.expand(p) for c, p in (parts or {}).items()
-                      if sp.expand(p) != 0}
+        expanded = ((c, sp.expand(p)) for c, p in (parts or {}).items())
+        self.parts = {c: p for c, p in expanded if p != 0}
 
-    _h = sp.Symbol("h", real=True)
+    @staticmethod
+    def h_sym():
+        import sympy as sp
 
-    @classmethod
-    def h_sym(cls):
-        return cls._h
+        return sp.Symbol("h", real=True)
 
-    def _shift(self, p: sp.Expr, c: int) -> sp.Expr:
-        h = self._h
+    def _shift(self, p, c: int):
+        import sympy as sp
+
+        h = self.h_sym()
         if self.realization == "K":
-            return sp.expand(p.subs(h, h - c))
-        return sp.expand(p.subs(h, h + sp.I * c))
+            return p.subs(h, h - c)
+        return p.subs(h, h + sp.I * c)
 
     def __mul__(self, other: "ClassicalOp") -> "ClassicalOp":
         assert self.realization == other.realization
-        out: Dict[int, sp.Expr] = {}
+        out: Dict[int, object] = {}
         for c1, p1 in self.parts.items():
             for c2, p2 in other.parts.items():
                 c = c1 + c2
-                out[c] = sp.expand(out.get(c, 0) + self._shift(p1, c2) * p2)
+                out[c] = out.get(c, 0) + self._shift(p1, c2) * p2
         return ClassicalOp(self.realization, out)
 
     def __add__(self, other: "ClassicalOp") -> "ClassicalOp":
         out = dict(self.parts)
         for c, p in other.parts.items():
-            out[c] = sp.expand(out.get(c, 0) + p)
+            out[c] = out.get(c, 0) + p
         return ClassicalOp(self.realization, out)
 
     def __sub__(self, other: "ClassicalOp") -> "ClassicalOp":
@@ -369,14 +373,16 @@ class ClassicalOp:
         return self * other - other * self
 
     def star(self) -> "ClassicalOp":
-        h = self._h
-        out: Dict[int, sp.Expr] = {}
+        import sympy as sp
+
+        h = self.h_sym()
+        out: Dict[int, object] = {}
         for c, p in self.parts.items():
-            pc = sp.expand(sp.conjugate(p))
+            pc = sp.conjugate(p)
             if self.realization == "K":
-                out[-c] = sp.expand(out.get(-c, 0) + pc.subs(h, h + c))
+                out[-c] = out.get(-c, 0) + pc.subs(h, h + c)
             else:
-                out[c] = sp.expand(out.get(c, 0) + pc.subs(h, h + sp.I * c))
+                out[c] = out.get(c, 0) + pc.subs(h, h + sp.I * c)
         return ClassicalOp(self.realization, out)
 
     @property
@@ -388,6 +394,8 @@ class ClassicalOp:
 
 
 def classical_currents(realization: str, lam) -> Dict[str, ClassicalOp]:
+    import sympy as sp
+
     h = ClassicalOp.h_sym()
     if realization == "K":
         # J+- = (i/2)(alpha^+- h + h alpha^+-) -+ lam alpha^+-,  J3 = 2i h
@@ -420,6 +428,8 @@ def classical_check(realization: str, lam=None) -> ClassicalReport:
     note records).  A: [E, F] = H, [H, E] = 2E, [H, F] = -2F.  Also checks
     the anti-self-adjointness of all classical currents.
     """
+    import sympy as sp
+
     lam = lam if lam is not None else sp.Symbol("lambda_", real=True)
     cur = classical_currents(realization, lam)
     rel: Dict[str, bool] = {}

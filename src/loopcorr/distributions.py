@@ -37,7 +37,6 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
-import sympy as sp
 
 from .errors import SingularProduct, StructuralViolation
 from .kernels import XiSequence, mode_series
@@ -170,6 +169,8 @@ class Coeff:
     # -- rendering --------------------------------------------------------
 
     def to_sympy(self):
+        import sympy as sp
+
         kappa, p, xi0 = sp.symbols("kappa p xi0", positive=True)
         total = sp.Integer(0)
         for (ek, ep, ex, mus), (re, im) in self.d.items():
@@ -203,7 +204,22 @@ class Coeff:
         return total
 
     def __repr__(self):
-        return f"Coeff({sp.sstr(self.to_sympy())})"
+        """The monomials in sorted order, each as its scalar times powers of
+        kappa, p, xi0 and the mu_k, e.g. ``Coeff(-3*I + 1/2*kappa*mu2)``."""
+        return f"Coeff({' + '.join(_mono_str(m, *self.d[m]) for m in sorted(self.d)) or '0'})"
+
+
+def _mono_str(mono: Mono, re: Fraction, im: Fraction) -> str:
+    ek, ep, ex, mus = mono
+    powers = [("kappa", ek), ("p", ep), ("xi0", ex)] + [(f"mu{k}", e) for k, e in mus]
+    factors = [name if e == 1 else f"{name}**{e}" for name, e in powers if e]
+    if not im:
+        scalar = str(re)
+    elif not re:
+        scalar = f"{im}*I"
+    else:
+        scalar = f"({re} + {im}*I)"
+    return "*".join(factors if scalar == "1" and factors else [scalar] + factors)
 
 
 # ---------------------------------------------------------------------------

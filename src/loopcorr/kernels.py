@@ -27,7 +27,9 @@ Only sequence families with decidable convergence are supported:
 Evaluation returns a partial sum together with a rigorous tail bound, and --
 for the geometric family -- the exact closed form.  When the sequence
 parameters, radii and angles (as fractions of a turn) are all rational, the
-arithmetic is exact (Fractions / sympy); otherwise floats are used.
+arithmetic is exact (Fractions / sympy); otherwise floats are used.  sympy
+is imported inside the exact branches only, so float evaluation and the
+engine never load it.
 """
 
 from __future__ import annotations
@@ -40,8 +42,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
-
-import sympy as sp
 
 from .errors import DivergentKernel
 
@@ -95,6 +95,8 @@ class CirclePoint:
         return float(self.r) * cmath.exp(2j * math.pi * float(self.t))
 
     def to_sympy(self):
+        import sympy as sp
+
         return sp.nsimplify(self.r) * sp.exp(2 * sp.pi * sp.I * sp.nsimplify(self.t))
 
 
@@ -232,6 +234,8 @@ class XiSequence:
 def _exact_number(v):
     if isinstance(v, float):
         raise ValueError("irrational mode coefficient in exact arithmetic")
+    import sympy as sp
+
     return sp.Rational(v.numerator, v.denominator)
 
 
@@ -269,8 +273,12 @@ def mode_series(x, y, k: int, family: str, seq: Optional[XiSequence], N: int,
         c, c0 = seq.xi_value, (2 * seq.xi0 if family == "NA" else 0)
     else:
         raise ValueError(f"unknown mode-series family {family!r}")
-    num = _exact_number if exact else float
-    i = sp.I if exact else 1j
+    if exact:
+        import sympy as sp
+
+        num, i = _exact_number, sp.I
+    else:
+        num, i = float, 1j
     total = num(c0 if k == 0 else 0)
     xp = yp = 1
     for n in range(1, N + 1):
@@ -302,6 +310,8 @@ class KernelValue:
 
 def _pair_powers_exact(p1: CirclePoint, p2: CirclePoint):
     """sympy expressions (w, wbar) for z1*conj(z2) and conj(z1)*z2."""
+    import sympy as sp
+
     rho = sp.nsimplify(p1.r) * sp.nsimplify(p2.r)
     phase = sp.exp(2 * sp.pi * sp.I * (sp.nsimplify(p1.t) - sp.nsimplify(p2.t)))
     return rho * phase, rho / phase
@@ -418,6 +428,8 @@ def kernel_eval(
 
     # the two halves of the series are conjugate: the sum is real
     if exact:
+        import sympy as sp
+
         w, wbar = _pair_powers_exact(p1, p2)
         value = sp.simplify(sp.re(mode_series(w, wbar, 0, kid.value, seq, trunc, exact=True)))
     else:
@@ -466,6 +478,8 @@ def heisenberg_pair(p1: CirclePoint, p2: CirclePoint, kappa, p, trunc: int = 64)
 
     exact = p1.exact and p2.exact and not isinstance(kappa, float) and not isinstance(p, float)
     if exact:
+        import sympy as sp
+
         _, x = _pair_powers_exact(p1, p2)  # conj(z1) z2
         k = sp.nsimplify(kappa)
         total = sp.nsimplify(p) ** 2 + 2 * k * mode_series(x, 0, 0, "wavy", None, trunc, exact=True)

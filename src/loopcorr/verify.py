@@ -32,8 +32,6 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-import sympy as sp
-
 from .algebra import (
     A_LETTERS,
     CURRENT_CHARGE,
@@ -62,7 +60,8 @@ logger = logging.getLogger(__name__)
 
 
 # ---------------------------------------------------------------------------
-# small value helpers, generic over float/sympy arithmetic
+# small value helpers, generic over float/sympy arithmetic; sympy is
+# imported on the exact branches only
 # ---------------------------------------------------------------------------
 
 
@@ -71,18 +70,36 @@ def _pt_value(pt: CirclePoint, exact: bool):
 
 
 def _conj(v, exact: bool):
-    return sp.conjugate(v) if exact else v.conjugate()
+    if exact:
+        import sympy as sp
+
+        return sp.conjugate(v)
+    return v.conjugate()
 
 
 def _imag_unit(exact: bool):
-    return sp.I if exact else 1j
+    if exact:
+        import sympy as sp
+
+        return sp.I
+    return 1j
 
 
 def _rat(fr, exact: bool):
-    fr = Fraction(fr)
     if exact:
+        import sympy as sp
+
+        fr = Fraction(fr)
         return sp.Rational(fr.numerator, fr.denominator)
     return float(fr)
+
+
+def _zero(exact: bool):
+    return _rat(0, True) if exact else 0j
+
+
+def _one(exact: bool):
+    return _rat(1, True) if exact else (1 + 0j)
 
 
 def _xi(seq: XiSequence, n: int, exact: bool):
@@ -96,12 +113,18 @@ def _xi0(seq: XiSequence, exact: bool):
 
 
 def _exp(v, exact: bool):
-    return sp.exp(v) if exact else cmath.exp(v)
+    if exact:
+        import sympy as sp
+
+        return sp.exp(v)
+    return cmath.exp(v)
 
 
 def _coeff_value(c: Coeff, kappa, p, xi0, exact: bool):
     if not exact:
         return c.subs_numeric(kappa=kappa, p=p, xi0=xi0)
+    import sympy as sp
+
     subs = {sp.Symbol("kappa", positive=True): kappa,
             sp.Symbol("p", positive=True): p,
             sp.Symbol("xi0", positive=True): xi0}
@@ -121,7 +144,7 @@ def _pair_series(z, w, k: int, family: str, seq: Optional[XiSequence], N: int,
 
 def _psi(z, m: int, exact: bool):
     if m == 0:
-        return sp.Integer(1) if exact else 1.0
+        return _rat(1, exact)
     if m > 0:
         return z ** m
     return _conj(z, exact) ** (-m)
@@ -130,7 +153,7 @@ def _psi(z, m: int, exact: bool):
 def _cov_pair(v: Dict[int, object], w: Dict[int, object], seq: XiSequence,
               include_zero: bool, exact: bool):
     """<v, C w> = sum_m c_|m| v_m w_{-m} with c_0 = 2 xi_0 (A only)."""
-    total = sp.Integer(0) if exact else 0j
+    total = _zero(exact)
     for m, vv in v.items():
         ww = w.get(-m)
         if ww is None:
@@ -148,7 +171,7 @@ def _cov_pair(v: Dict[int, object], w: Dict[int, object], seq: XiSequence,
 def _factor_pairings(factors, gamma_total, seq, include_zero, exact):
     """Isserlis over linear factors with the tilt <F, C Gamma> for singles."""
     if not factors:
-        return sp.Integer(1) if exact else (1 + 0j)
+        return _one(exact)
     first, rest = factors[0], factors[1:]
     total = _cov_pair(first, gamma_total, seq, include_zero, exact) * \
         _factor_pairings(rest, gamma_total, seq, include_zero, exact)
@@ -163,7 +186,7 @@ def _rho_pairings(zs, N, kappa, p, realization, exact):
     """Isserlis over rho insertions: mean p, and each pair 2 kappa sum n x^n
     with x = zi conj(zj) (K) or conj(zi) zj (A)."""
     if not zs:
-        return sp.Integer(1) if exact else (1 + 0j)
+        return _one(exact)
     first, rest = zs[0], zs[1:]
     total = p * _rho_pairings(rest, N, kappa, p, realization, exact)
     for idx in range(len(rest)):
@@ -186,7 +209,7 @@ def _mode_eval(letters: Sequence[Tuple[str, int]], points: Mapping[int, CirclePo
     matching the self-energy convention of the engine's exponential tokens.
     """
     i = _imag_unit(exact)
-    zero = sp.Integer(0) if exact else 0j
+    zero = _zero(exact)
     is_a = cfg.realization == "A"
     gammas: List[Dict[int, object]] = []
     factors: List[Dict[int, object]] = []
@@ -220,7 +243,7 @@ def _mode_eval(letters: Sequence[Tuple[str, int]], points: Mapping[int, CirclePo
             charge += eps
         elif name in ("e+", "e-"):
             sig = _BASE_CHARGE[name]
-            gammas.append(gamma_of(z, sig * (sp.Integer(1) if exact else 1.0)))
+            gammas.append(gamma_of(z, sig * _rat(1, exact)))
         elif name in ("dalpha+", "dalpha-"):
             eps = _BASE_CHARGE[name]
             gammas.append(gamma_of(z, i * eps))
@@ -229,7 +252,7 @@ def _mode_eval(letters: Sequence[Tuple[str, int]], points: Mapping[int, CirclePo
                             for m in range(-N, N + 1) if m != 0})
         elif name in ("de+", "de-"):
             sig = _BASE_CHARGE[name]
-            gammas.append(gamma_of(z, sig * (sp.Integer(1) if exact else 1.0)))
+            gammas.append(gamma_of(z, sig * _rat(1, exact)))
             factors.append({m: i * sig * m * _psi(z, m, exact)
                             for m in range(-N, N + 1) if m != 0})
         elif name == "alpha-dalpha+":
@@ -315,9 +338,9 @@ def oracle_letters(word: Sequence[Tuple[str, int]], points: Mapping[int, CircleP
     crossing emits a commutator branch with one a/b letter fewer, so the
     rewriting terminates.
     """
-    one = sp.Integer(1) if exact else (1 + 0j)
-    half = sp.Rational(1, 2) if exact else 0.5
-    total = sp.Integer(0) if exact else 0j
+    one = _one(exact)
+    half = _rat(Fraction(1, 2), exact)
+    total = _zero(exact)
     stack: List[Tuple[object, Tuple[Tuple[str, int], ...]]] = [(one, tuple(word))]
     while stack:
         c, ls = stack.pop()
@@ -390,13 +413,12 @@ def gaussian_oracle(names: Sequence[str], points: Sequence[CirclePoint],
                 raise RealizationMismatch(f"letter {nm} needs the K realization")
             if nm in A_LETTERS and cfg.realization != "A":
                 raise RealizationMismatch(f"letter {nm} needs the A realization")
-            one = sp.Integer(1) if exact else (1 + 0j)
-            expansions.append([(one, ((nm, k),))])
+            expansions.append([(_one(exact), ((nm, k),))])
 
-    total = sp.Integer(0) if exact else 0j
+    total = _zero(exact)
     idx = [0] * len(expansions)
     while True:
-        cval = sp.Integer(1) if exact else (1 + 0j)
+        cval = _one(exact)
         letters: Tuple[Tuple[str, int], ...] = ()
         for k, options in enumerate(expansions):
             c, ls = options[idx[k]]
@@ -429,7 +451,7 @@ def expression_value(expr: Expression, points: Mapping[int, CirclePoint],
     if trunc < 0:
         raise ValueError(f"expression_value needs trunc >= 0, got trunc={trunc}")
     realization = expr.realization
-    total = sp.Integer(0) if exact else 0j
+    total = _zero(exact)
     xi0 = _xi0(seq, exact)
     work = list(expr.terms)
     flat = []
@@ -452,7 +474,7 @@ def expression_value(expr: Expression, points: Mapping[int, CirclePoint],
             if charge_vanishes(realization, (q for _, q in t.exps)):
                 continue
             family, sign = gaussian_rule(realization)
-            arg = sp.Integer(0) if exact else 0j
+            arg = _zero(exact)
             for a, (pa, qa) in enumerate(t.exps):
                 za = _pt_value(points[pa], exact)
                 na = _pair_series(za, za, 0, family, seq, trunc, exact)

@@ -3,13 +3,9 @@ formats, and determinism of the JSON emitters."""
 
 import argparse
 import json
-import os
-import subprocess
-import sys
 
 import pytest
 
-import loopcorr
 from loopcorr.cli import build_parser, main, parse_current_word, parse_word, render_word
 from loopcorr.errors import ParseError, RealizationMismatch
 
@@ -263,12 +259,39 @@ def test_every_accepted_flag_is_read():
         assert not unread, f"{name} ignores {sorted(unread)}"
 
 
-def test_module_entry_point_runs_without_warnings():
-    src = os.path.dirname(os.path.dirname(os.path.abspath(loopcorr.__file__)))
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    proc = subprocess.run([sys.executable, "-W", "error", "-m", "loopcorr.cli",
-                           "eval", "Jp(1) Jm(2)"],
-                          capture_output=True, text=True, env=env, timeout=120)
+def test_module_entry_point_runs_without_warnings(fresh_python):
+    proc = fresh_python("-W", "error", "-m", "loopcorr.cli", "eval", "Jp(1) Jm(2)")
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["word"] == "Jp(1) Jm(2)"
     assert proc.stderr == ""
+
+
+_ENGINE_AND_FLOAT_PATHS = """
+import sys
+from fractions import Fraction
+import loopcorr
+from loopcorr import (CirclePoint, CurrentWord, RenormScheme, SectorConfig, XiSequence,
+                      canonicalize, evaluate_correlator, gaussian_oracle, loop_census, smear)
+from loopcorr.cli import main
+from loopcorr.verify import expression_value
+
+cfg = SectorConfig("K", "nonunitary")
+scheme = RenormScheme.mu_family(cfg, entries={2: 1, 3: Fraction(1, 2)}, default=0)
+seq = XiSequence.geometric(Fraction(1, 2))
+expr = evaluate_correlator(CurrentWord.from_names(("J+", "J-", "J3")), scheme)
+expr.to_json()
+smear(canonicalize(expr), {0: {1: 1.0}, 1: {-1: 1.0}, 2: {0: 1.0}}, seq, trunc=6, grid=12)
+pts = [CirclePoint(Fraction(1, 2), Fraction(k, 8)) for k in (1, 3)]
+off = evaluate_correlator(CurrentWord.from_names(("J+", "J-"), radius=Fraction(1, 2)), scheme)
+expression_value(off, dict(enumerate(pts)), seq, trunc=6)
+gaussian_oracle(("J+", "J-"), pts, cfg, seq, trunc=6)
+loop_census(("J+", "J-", "J3", "J3"), cfg)
+main(["eval", "Jp(1) Jm(2)"])
+print("sympy" in sys.modules)
+"""
+
+
+def test_engine_and_float_paths_load_no_sympy(fresh_python):
+    proc = fresh_python("-c", _ENGINE_AND_FLOAT_PATHS)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"

@@ -48,6 +48,18 @@ def test_coeff_ring():
     assert a.conj().d[(1, 0, 0, ())] == (Fraction(0), Fraction(-4))
 
 
+def test_coeff_repr_is_sorted_and_sympy_free(fresh_python):
+    proc = fresh_python("-c", "import sys\n"
+                              "from fractions import Fraction\n"
+                              "from loopcorr import Coeff\n"
+                              "c = Coeff.unit(kappa=1, mu={2: 1}, re=Fraction(1, 2))"
+                              " + Coeff.complex_rat(-1, 3)\n"
+                              "print(repr(c))\n"
+                              "print('sympy' in sys.modules)\n")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["Coeff((-1 + 3*I) + 1/2*kappa*mu2)", "False"]
+
+
 # small pools, so that monomials and parts collide and sums and products cancel
 _FRACS = st.sampled_from([Fraction(0), Fraction(1), Fraction(-1), Fraction(2),
                           Fraction(1, 2), Fraction(-3, 4)])
