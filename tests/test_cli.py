@@ -269,7 +269,6 @@ def test_module_entry_point_runs_without_warnings(fresh_python):
 _ENGINE_AND_FLOAT_PATHS = """
 import sys
 from fractions import Fraction
-import loopcorr
 from loopcorr import (CirclePoint, CurrentWord, RenormScheme, SectorConfig, XiSequence,
                       canonicalize, evaluate_correlator, gaussian_oracle, loop_census, smear)
 from loopcorr.cli import main
