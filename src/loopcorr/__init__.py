@@ -10,7 +10,6 @@ correlators.
 __version__ = "0.1.0"
 
 from .errors import (
-    DivergentKernel,
     LoopcorrError,
     MissingMu,
     ParseError,
@@ -18,7 +17,7 @@ from .errors import (
     SingularProduct,
     StructuralViolation,
 )
-from .kernels import CirclePoint, KernelId, KernelValue, XiSequence, heisenberg_pair, kernel_eval
+from .kernels import CirclePoint, XiSequence
 from .algebra import (
     CURRENT_STAR,
     CURRENTS_A,
@@ -61,10 +60,7 @@ __all__ = [
     "Coeff",
     "CommutatorTestCase",
     "CurrentWord",
-    "DivergentKernel",
     "Expression",
-    "KernelId",
-    "KernelValue",
     "LoopcorrError",
     "MissingMu",
     "ParseError",
@@ -89,8 +85,6 @@ __all__ = [
     "expand_current",
     "gaussian_oracle",
     "gram_matrix",
-    "heisenberg_pair",
-    "kernel_eval",
     "loop_census",
     "loop_components",
     "mu_independence",

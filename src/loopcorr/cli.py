@@ -24,7 +24,7 @@ from .algebra import (CURRENTS_A, CURRENTS_K, SectorConfig, classical_check, cur
                       star_check)
 from .diagrams import enumerate_diagrams, loop_components, to_dot
 from .errors import LoopcorrError, ParseError, RealizationMismatch
-from .kernels import CirclePoint, XiSequence
+from .kernels import CirclePoint, XiSequence, _as_fraction
 from .renorm import CurrentWord, RenormScheme, evaluate_correlator
 
 logger = logging.getLogger(__name__)
@@ -115,7 +115,7 @@ def _scheme(args) -> RenormScheme:
     raw = _read_json(args.mu) if args.mu else {}
     if not isinstance(raw, dict):
         raise ValueError(f"--mu file must hold a JSON object, got {type(raw).__name__}")
-    data = {key: Fraction(str(val)) for key, val in raw.items()}
+    data = {key: _as_fraction(str(val), f"--mu entry {key!r}") for key, val in raw.items()}
     default = data.pop("default", None)
     entries = {int(key): val for key, val in data.items()}
     make = RenormScheme.mu_family if args.policy == "mu" else RenormScheme.unitary_dotted
@@ -383,7 +383,7 @@ def main(argv=None) -> int:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)},
                          sort_keys=True), file=sys.stderr)
         return 2
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, ZeroDivisionError, json.JSONDecodeError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)},
                          sort_keys=True), file=sys.stderr)
         return 2

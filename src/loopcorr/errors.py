@@ -7,10 +7,6 @@ class LoopcorrError(Exception):
     """Base class for all engine errors."""
 
 
-class DivergentKernel(LoopcorrError):
-    """A kernel series was requested at radii where it does not converge."""
-
-
 class SingularProduct(LoopcorrError):
     """A product of distributions with no finite meaning was encountered
     (repeated delta pair or a closed delta cycle) outside of a

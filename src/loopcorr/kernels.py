@@ -1,95 +1,73 @@
-"""Covariance kernels on the circle and the xi-sequences that define them.
+"""Weight sequences, points on the disc, and the truncated mode series.
 
 All two-point structure of the engine is built from a summable positive
 sequence xi_1, xi_2, ... (plus a separate positive scalar xi_0 that only
 enters in the A realization).  With points z = r e^{iu} inside or on the
-unit circle the kernels are
+unit circle and x = z1 conj(z2), y = conj(z1) z2, the kernels are
 
-    N_K(z1, z2) =          sum_{n>0} xi_n [ (z1 conj(z2))^n + (conj(z1) z2)^n ]
-    N_A(z1, z2) = 2 xi_0 + sum_{n>0} xi_n [ (z1 conj(z2))^n + (conj(z1) z2)^n ]
-    D(z1, z2)   =          sum_{n>0} xi_n^{-1} [ (z1 conj(z2))^n + (conj(z1) z2)^n ]
+    N_K(z1, z2) =          sum_{n>0} xi_n (x^n + y^n)
+    N_A(z1, z2) = 2 xi_0 + sum_{n>0} xi_n (x^n + y^n)
+    D(z1, z2)   =          sum_{n>0} xi_n^{-1} (x^n + y^n)
 
-and the Heisenberg pair propagator
+and a pair of Heisenberg insertions contributes 2 kappa sum_{n>0} n x^n.
+:func:`mode_series` is the one evaluator of these sums: truncated at a
+mode N, with k angle derivatives in the first point.  On the circle
+(r = 1) the N-kernels are the cosine series 2 sum xi_n cos n(u - v); D
+generally diverges there and the engine keeps it only as a formal mode
+multiplier.
 
-    <rho rho>(z1, z2) = p^2 + 2 kappa sum_{n>0} n x^n ,   x = conj(z1) z2 .
-
-On the circle (r = 1) the N-kernels reduce to cosine series
-2 sum xi_n cos n(u - v); D generally diverges there and is kept only as a
-formal mode multiplier elsewhere in the engine.
-
-Only sequence families with decidable convergence are supported:
+Three sequence families are supported:
 
 * ``geometric``  : xi_n = q^n with 0 < q < 1;
 * ``power-law``  : xi_n = n^(-s) with s > 1;
 * ``explicit``   : a finite positive head xi_1..xi_m continued geometrically,
   xi_{m+k} = xi_m * t^k with 0 < t < 1.
 
-Evaluation returns a partial sum together with a rigorous tail bound, and --
-for the geometric family -- the exact closed form.  When the sequence
-parameters, radii and angles (as fractions of a turn) are all rational, the
-arithmetic is exact (Fractions / sympy); otherwise floats are used.  sympy
-is imported inside the exact branches only, so float evaluation and the
-engine never load it.
+Sequence parameters are exact rationals.  The series is summed in floats,
+or exactly in sympy when asked; sympy is imported inside the exact branch
+only, so float evaluation and the engine never load it.
 """
 
 from __future__ import annotations
 
 import cmath
-import enum
 import json
-import logging
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .errors import DivergentKernel
-
-logger = logging.getLogger(__name__)
-
 Scalar = Union[int, float, Fraction]
 
 
 def _as_fraction(x, name: str) -> Fraction:
-    """Coerce strings / ints / Fractions to Fraction, rejecting floats that
-    were probably meant to be exact."""
+    """Coerce strings / ints / Fractions to Fraction; a float is rounded to
+    the nearest fraction with denominator at most 10**12.  Raises
+    ``ValueError`` for a string that is not a finite rational."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            raise ValueError(f"{name} must be a finite rational, got {x!r}") from None
     if isinstance(x, float):
         return Fraction(x).limit_denominator(10**12)
     raise TypeError(f"{name} must be rational, got {type(x).__name__}")
-
-
-class KernelId(enum.Enum):
-    """Which kernel a request refers to."""
-
-    NA = "NA"
-    NK = "NK"
-    D = "D"
 
 
 @dataclass(frozen=True)
 class CirclePoint:
     """A point z = r e^{2 pi i t} given by radius ``r`` and turn fraction ``t``.
 
-    Rational ``r`` and ``t`` keep evaluation exact; floats demote the whole
-    computation to floating point.  ``t`` is the angle divided by 2*pi.
+    ``t`` is the angle divided by 2*pi.  :meth:`to_complex` gives the float
+    value of z and :meth:`to_sympy` the exact one.
     """
 
     r: Scalar = 1
     t: Scalar = 0
-
-    @property
-    def exact(self) -> bool:
-        return isinstance(self.r, (int, Fraction)) and isinstance(self.t, (int, Fraction))
-
-    @property
-    def on_circle(self) -> bool:
-        return self.r == 1
 
     def to_complex(self) -> complex:
         return float(self.r) * cmath.exp(2j * math.pi * float(self.t))
@@ -225,11 +203,6 @@ class XiSequence:
         v = self.xi_value(n)
         return Fraction(1) / v if isinstance(v, (int, Fraction)) else 1.0 / v
 
-    @property
-    def exact(self) -> bool:
-        """Whether xi_n is an exact rational for every n."""
-        return self.kind != "power-law" or self._s_int()
-
 
 def _exact_number(v):
     if isinstance(v, float):
@@ -286,218 +259,3 @@ def mode_series(x, y, k: int, family: str, seq: Optional[XiSequence], N: int,
         yp = yp * y
         total = total + num(c(n)) * ((i * n) ** k * xp + (-i * n) ** k * yp)
     return total
-
-
-@dataclass
-class KernelValue:
-    """Result of a truncated kernel evaluation.
-
-    ``value`` is the partial sum through index ``truncation``; ``tail_bound``
-    bounds the absolute error against the full series (``inf`` when the
-    series only exists distributionally); ``closed_form`` is the exact sum
-    when the family admits one (geometric).  ``singular`` marks requests at
-    a genuinely singular configuration (equal angles on the circle for the
-    Heisenberg propagator): no finite value exists there and ``value`` is
-    ``None``.
-    """
-
-    value: object
-    tail_bound: float
-    truncation: int
-    closed_form: object = None
-    singular: bool = False
-
-
-def _pair_powers_exact(p1: CirclePoint, p2: CirclePoint):
-    """sympy expressions (w, wbar) for z1*conj(z2) and conj(z1)*z2."""
-    import sympy as sp
-
-    rho = sp.nsimplify(p1.r) * sp.nsimplify(p2.r)
-    phase = sp.exp(2 * sp.pi * sp.I * (sp.nsimplify(p1.t) - sp.nsimplify(p2.t)))
-    return rho * phase, rho / phase
-
-
-def _geom_tail(a1: float, ratio: float) -> float:
-    """sum of a geometric series with first term a1 >= 0 and ratio in [0,1)."""
-    if a1 == 0:
-        return 0.0
-    if ratio >= 1:
-        return math.inf
-    return a1 / (1.0 - ratio)
-
-
-def _n_kernel_tail(seq: XiSequence, rho: float, trunc: int) -> float:
-    """Bound on | sum_{n>trunc} xi_n (w^n + wbar^n) | with |w| = rho <= 1."""
-    if seq.kind == "geometric":
-        x = float(seq.q) * rho
-        return _geom_tail(2.0 * x ** (trunc + 1), x)
-    if seq.kind == "power-law":
-        s = float(seq.s)
-        if rho < 1:
-            return _geom_tail(2.0 * (trunc + 1) ** (-s) * rho ** (trunc + 1), rho)
-        # on the circle: integral comparison, and zeta(s) <= s / (s - 1)
-        if trunc == 0:
-            return 2.0 * s / (s - 1.0)
-        return 2.0 * trunc ** (1.0 - s) / (s - 1.0)
-    # explicit head + geometric tail
-    m = len(seq.head)
-    t = float(seq.tail_ratio)
-    bound = 0.0
-    n = trunc + 1
-    while n <= m:
-        bound += 2.0 * float(seq.head[n - 1]) * rho**n
-        n += 1
-    start = max(trunc + 1, m + 1)
-    a1 = 2.0 * float(seq.head[-1]) * t ** (start - m) * rho**start
-    return bound + _geom_tail(a1, t * rho)
-
-
-def _d_tail(seq: XiSequence, rho: float, trunc: int) -> float:
-    """Bound on | sum_{n>trunc} xi_n^{-1} (w^n + wbar^n) |, assuming the
-    series converges at this radius product (checked by the caller)."""
-    if seq.kind == "geometric":
-        x = rho / float(seq.q)
-        return _geom_tail(2.0 * x ** (trunc + 1), x)
-    if seq.kind == "power-law":
-        s = float(seq.s)
-        # terms a_n = n^s rho^n; ratio a_{n+1}/a_n = rho (1+1/n)^s decreases
-        bound = 0.0
-        n = trunc + 1
-        while True:
-            ratio = rho * ((n + 1) / n) ** s
-            a_n = 2.0 * n**s * rho**n
-            if ratio < 1:
-                return bound + a_n / (1.0 - ratio)
-            bound += a_n
-            n += 1
-            if n > trunc + 10_000:  # pragma: no cover - unreachable for rho<1
-                return math.inf
-    m = len(seq.head)
-    t = float(seq.tail_ratio)
-    bound = 0.0
-    n = trunc + 1
-    while n <= m:
-        bound += 2.0 / float(seq.head[n - 1]) * rho**n
-        n += 1
-    start = max(trunc + 1, m + 1)
-    x = rho / t
-    a1 = 2.0 / float(seq.head[-1]) * x ** (start - m) * rho**m
-    return bound + _geom_tail(a1, x)
-
-
-def _d_converges(seq: XiSequence, rho: float) -> bool:
-    if rho == 0:
-        return True
-    if seq.kind == "geometric":
-        return rho < float(seq.q)
-    if seq.kind == "power-law":
-        return rho < 1.0
-    return rho < float(seq.tail_ratio)
-
-
-def _check_request(p1: CirclePoint, p2: CirclePoint, trunc: int) -> None:
-    for pt in (p1, p2):
-        if not (0 <= float(pt.r) <= 1):
-            raise ValueError(f"radius {pt.r} outside [0, 1]")
-    if trunc < 0:
-        raise ValueError(f"the mode truncation must be >= 0, got {trunc}")
-
-
-def kernel_eval(
-    kid: KernelId,
-    seq: XiSequence,
-    p1: CirclePoint,
-    p2: CirclePoint,
-    trunc: int = 64,
-) -> KernelValue:
-    """Evaluate a kernel at two points, truncating the mode sum at ``trunc``.
-
-    Requires |z| <= 1 for both points and ``trunc >= 0`` (``ValueError``
-    otherwise).  For ``KernelId.D`` the radii must put the series inside its
-    domain of convergence, otherwise :class:`DivergentKernel` is raised.
-    """
-    _check_request(p1, p2, trunc)
-
-    rho = float(p1.r) * float(p2.r)
-    exact = seq.exact and p1.exact and p2.exact
-
-    if kid == KernelId.D and not _d_converges(seq, rho):
-        raise DivergentKernel(
-            f"D-kernel series diverges at radius product {rho} for a {seq.kind} sequence"
-        )
-
-    # the two halves of the series are conjugate: the sum is real
-    if exact:
-        import sympy as sp
-
-        w, wbar = _pair_powers_exact(p1, p2)
-        value = sp.simplify(sp.re(mode_series(w, wbar, 0, kid.value, seq, trunc, exact=True)))
-    else:
-        w = p1.to_complex() * p2.to_complex().conjugate()
-        value = mode_series(w, w.conjugate(), 0, kid.value, seq, trunc).real
-
-    tail = _n_kernel_tail(seq, rho, trunc) if kid != KernelId.D else _d_tail(seq, rho, trunc)
-
-    closed = None
-    if seq.kind == "geometric":
-        if exact:
-            rho_e = sp.nsimplify(p1.r) * sp.nsimplify(p2.r)
-            cs = sp.cos(2 * sp.pi * (sp.nsimplify(p1.t) - sp.nsimplify(p2.t)))
-            qq = sp.nsimplify(seq.q) if kid != KernelId.D else 1 / sp.nsimplify(seq.q)
-            x = qq * rho_e
-            closed = sp.simplify((2 * x * cs - 2 * x**2) / (1 - 2 * x * cs + x**2))
-            if kid == KernelId.NA:
-                closed = sp.simplify(closed + 2 * sp.nsimplify(seq.xi0))
-        else:
-            w = p1.to_complex() * p2.to_complex().conjugate()
-            qq = float(seq.q) if kid != KernelId.D else 1.0 / float(seq.q)
-            closed = 2.0 * (qq * w / (1.0 - qq * w)).real
-            if kid == KernelId.NA:
-                closed += 2.0 * float(seq.xi0)
-
-    return KernelValue(value=value, tail_bound=tail, truncation=trunc, closed_form=closed)
-
-
-def heisenberg_pair(p1: CirclePoint, p2: CirclePoint, kappa, p, trunc: int = 64) -> KernelValue:
-    """The ordered rho-pair propagator p^2 + 2 kappa sum_{n>0} n x^n with
-    x = conj(z1) z2, truncated at ``trunc``.
-
-    Both points on the circle at equal angle is a genuinely singular
-    configuration: the result is flagged ``singular`` with no value rather
-    than raising, so callers can report it.  On the circle at distinct
-    angles the partial sum is returned together with the distributional
-    (Abel) closed form 2 kappa x / (1-x)^2; the tail bound is infinite
-    there because the series does not converge pointwise.  Requires
-    |z| <= 1 for both points and ``trunc >= 0`` (``ValueError`` otherwise).
-    """
-    _check_request(p1, p2, trunc)
-    rho = float(p1.r) * float(p2.r)
-    equal_angle = (float(p1.t) - float(p2.t)) % 1.0 == 0.0
-    if p1.on_circle and p2.on_circle and equal_angle:
-        return KernelValue(value=None, tail_bound=math.inf, truncation=trunc, singular=True)
-
-    exact = p1.exact and p2.exact and not isinstance(kappa, float) and not isinstance(p, float)
-    if exact:
-        import sympy as sp
-
-        _, x = _pair_powers_exact(p1, p2)  # conj(z1) z2
-        k = sp.nsimplify(kappa)
-        total = sp.nsimplify(p) ** 2 + 2 * k * mode_series(x, 0, 0, "wavy", None, trunc, exact=True)
-        value = sp.simplify(total)
-        closed = sp.simplify(sp.nsimplify(p) ** 2 + 2 * k * x / (1 - x) ** 2)
-    else:
-        x = p1.to_complex().conjugate() * p2.to_complex()
-        value = complex(p) ** 2 + 2 * complex(kappa) * mode_series(x, 0, 0, "wavy", None, trunc)
-        closed = complex(p) ** 2 + 2 * complex(kappa) * x / (1 - x) ** 2
-
-    if rho < 1:
-        # exact tail of sum_{n>N} n rho^n; for a symbolic kappa the bound is
-        # per unit of |kappa|
-        try:
-            kmag = abs(float(kappa))
-        except TypeError:
-            kmag = 1.0
-        tail = 2.0 * kmag * rho ** (trunc + 1) * ((trunc + 1) - trunc * rho) / (1 - rho) ** 2
-    else:
-        tail = math.inf
-    return KernelValue(value=value, tail_bound=tail, truncation=trunc, closed_form=closed)

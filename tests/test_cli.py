@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+import loopcorr
 from loopcorr.cli import build_parser, main, parse_current_word, parse_word, render_word
 from loopcorr.errors import ParseError, RealizationMismatch
 
@@ -141,6 +142,19 @@ def test_sizes_that_cannot_be_honoured_are_usage_errors(argv, capsys):
     assert argv[-2].lstrip("-") in err["message"]
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--angles", "0 1/0"),
+    ("--radius", "1/0"),
+    ("--kappa", "1/0"),
+    ("--p", "1/0"),
+])
+def test_zero_denominator_rationals_are_usage_errors(flag, value, capsys):
+    assert main(["oracle", "ap(1) am(2)", flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "ZeroDivisionError"
+
+
 def test_selfcheck_small(capsys):
     assert main(["selfcheck", "--context", "0", "--max-len", "1",
                  "--realization", "K", "--format", "text"]) == 0
@@ -174,6 +188,8 @@ def test_xi_file_config(tmp_path, capsys):
     (["oracle", "ap(1) am(2)", "--xi"], {"kind": "geometric", "q": [1]}),
     (["oracle", "ap(1) am(2)", "--xi"], ["geometric"]),
     (["eval", "Jp(1) Jm(2)", "--policy", "mu", "--mu"], [1, 2]),
+    (["oracle", "ap(1) am(2)", "--xi"], {"kind": "geometric", "q": "1/0"}),
+    (["eval", "Jp(1) Jm(2)", "--policy", "mu", "--mu"], {"2": "1/0"}),
 ])
 def test_malformed_config_files_are_usage_errors(argv, content, tmp_path, capsys):
     path = tmp_path / "config.json"
@@ -257,6 +273,11 @@ def test_every_accepted_flag_is_read():
         accepted = {a.dest for a in sub._actions if a.dest != "help"}
         unread = accepted - args.__dict__.get("_read", set())
         assert not unread, f"{name} ignores {sorted(unread)}"
+
+
+def test_export_list_resolves():
+    exec("from loopcorr import *", {})  # a stale entry raises AttributeError here
+    assert len(set(loopcorr.__all__)) == len(loopcorr.__all__)
 
 
 def test_module_entry_point_runs_without_warnings(fresh_python):

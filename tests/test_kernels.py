@@ -1,17 +1,11 @@
+import cmath
 import math
 from fractions import Fraction
 
 import pytest
 import sympy as sp
 
-from loopcorr.errors import DivergentKernel
-from loopcorr.kernels import (
-    CirclePoint,
-    KernelId,
-    XiSequence,
-    heisenberg_pair,
-    kernel_eval,
-)
+from loopcorr.kernels import CirclePoint, XiSequence, mode_series
 
 
 def test_xi_value_geometric():
@@ -55,145 +49,90 @@ def test_from_config_json_strings():
     assert seq.xi_value(3) == Fraction(1, 8)
 
 
-def test_nk_equal_points_on_circle():
-    # N_K(u, u) = 2 sum q^n = 2q/(1-q) -> 2 at q = 1/2
-    seq = XiSequence.geometric(Fraction(1, 2))
-    u = CirclePoint(1, Fraction(1, 3))
-    res = kernel_eval(KernelId.NK, seq, u, u, trunc=40)
-    assert res.closed_form == 2
-    assert abs(float(res.value) - 2.0) <= res.tail_bound
-    assert res.tail_bound < 1e-10
+def _pair(p1, p2, exact=False):
+    """The mode-series arguments x = z1 conj(z2), y = conj(z1) z2."""
+    if exact:
+        z1, z2 = p1.to_sympy(), p2.to_sympy()
+        return z1 * sp.conjugate(z2), sp.conjugate(z1) * z2
+    z1, z2 = p1.to_complex(), p2.to_complex()
+    return z1 * z2.conjugate(), z1.conjugate() * z2
 
 
-def test_na_minus_nk_is_2_xi0():
-    seq = XiSequence.geometric(Fraction(1, 2), xi0=Fraction(3, 4))
-    z1 = CirclePoint(1, Fraction(1, 8))
-    z2 = CirclePoint(1, Fraction(5, 8))
-    na = kernel_eval(KernelId.NA, seq, z1, z2, trunc=24)
-    nk = kernel_eval(KernelId.NK, seq, z1, z2, trunc=24)
-    assert sp.simplify(na.value - nk.value - sp.Rational(3, 2)) == 0
-    assert sp.simplify(na.closed_form - nk.closed_form - sp.Rational(3, 2)) == 0
+_HALF = Fraction(1, 2)
+_OFF = (CirclePoint(_HALF, Fraction(1, 5)), CirclePoint(1, Fraction(2, 5)))
+_OFF_W = _pair(*_OFF)[0]
+_WAVY_X = 0.6 * cmath.exp(0.4j * math.pi)
 
 
-def test_nk_closed_form_half_turn():
-    # u - v = pi: N_K = -2q/(1+q) = -2/3 at q = 1/2
-    seq = XiSequence.geometric(Fraction(1, 2))
-    res = kernel_eval(KernelId.NK, seq, CirclePoint(1, Fraction(1, 2)), CirclePoint(1, 0), trunc=50)
-    assert sp.simplify(res.closed_form + sp.Rational(2, 3)) == 0
-    assert abs(float(res.value) + 2 / 3) <= res.tail_bound
+# (family, sequence, points or (x, y), truncation, closed form, error bound)
+_CLOSED_FORMS = {
+    # sum q^n (w^n + conj(w)^n) = 2 Re(q w / (1 - q w))
+    "NK-equal-on-circle": ("NK", XiSequence.geometric(_HALF),
+                           (CirclePoint(1, Fraction(1, 3)),) * 2, 60, 2.0, 1e-12),
+    "NK-half-turn": ("NK", XiSequence.geometric(_HALF),
+                     (CirclePoint(1, _HALF), CirclePoint(1, 0)), 60, -2 / 3, 1e-12),
+    "NK-off-circle": ("NK", XiSequence.geometric(Fraction(1, 3)), _OFF, 60,
+                      2 * (_OFF_W / (3 - _OFF_W)).real, 1e-12),
+    # 2 sum n^-2 cos(n pi / 2) = -pi^2 / 24, within the integral bound 2 N^(1-s) / (s-1)
+    "NK-power-law-quarter-turn": ("NK", XiSequence.power_law(2),
+                                  (CirclePoint(1, Fraction(1, 4)), CirclePoint(1, 0)), 100,
+                                  -math.pi**2 / 24, 2 * 100 ** (1 - 2) / (2 - 1)),
+    # 2 sum 2^n (3/10)^n = 2 * 0.6 / 0.4 = 3
+    "D-geometric-inside": ("D", XiSequence.geometric(_HALF),
+                           (CirclePoint(Fraction(3, 5), 0), CirclePoint(_HALF, 0)), 80,
+                           3.0, 1e-12),
+    # 2 sum n^2 x^n = 2 x (1 + x) / (1 - x)^3 = 40/27 at x = 1/4
+    "D-power-law-inside": ("D", XiSequence.power_law(2),
+                           (CirclePoint(_HALF, Fraction(1, 6)),) * 2, 80, 40 / 27, 1e-12),
+    # sum n x^n = x / (1 - x)^2, the Heisenberg pair series
+    "wavy-half": ("wavy", None, (0.5, 0), 80, 2.0, 1e-12),
+    "wavy-complex": ("wavy", None, (_WAVY_X, 0), 120, _WAVY_X / (1 - _WAVY_X) ** 2, 1e-12),
+}
 
 
-def test_nk_symmetric_in_points():
-    seq = XiSequence.geometric(Fraction(1, 3))
-    z1 = CirclePoint(Fraction(1, 2), Fraction(1, 5))
-    z2 = CirclePoint(1, Fraction(2, 5))
-    a = kernel_eval(KernelId.NK, seq, z1, z2, trunc=30)
-    b = kernel_eval(KernelId.NK, seq, z2, z1, trunc=30)
-    assert sp.simplify(a.value - b.value) == 0
+@pytest.mark.parametrize("case", _CLOSED_FORMS.values(), ids=_CLOSED_FORMS.keys())
+def test_mode_series_closed_form(case):
+    family, seq, args, N, want, bound = case
+    x, y = _pair(*args) if isinstance(args[0], CirclePoint) else args
+    assert abs(mode_series(x, y, 0, family, seq, N) - want) <= bound
 
 
-def test_nk_float_mode_matches_exact():
-    seq = XiSequence.geometric(Fraction(1, 2))
-    exact = kernel_eval(KernelId.NK, seq, CirclePoint(1, Fraction(1, 7)), CirclePoint(1, 0), trunc=40)
-    approx = kernel_eval(KernelId.NK, seq, CirclePoint(1.0, 1.0 / 7.0), CirclePoint(1.0, 0.0), trunc=40)
-    assert abs(float(exact.value) - approx.value) < 1e-12
-    assert abs(float(exact.closed_form) - approx.closed_form) < 1e-12
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_mode_series_na_minus_nk(k):
+    # N_A - N_K is the zero mode 2 xi_0, which no angle derivative keeps
+    seq = XiSequence.geometric(_HALF, xi0=Fraction(3, 4))
+    x, y = _pair(CirclePoint(1, Fraction(1, 8)), CirclePoint(1, Fraction(5, 8)), exact=True)
+    na = mode_series(x, y, k, "NA", seq, 24, exact=True)
+    nk = mode_series(x, y, k, "NK", seq, 24, exact=True)
+    assert sp.simplify(na - nk - (sp.Rational(3, 2) if k == 0 else 0)) == 0
 
 
-def test_power_law_on_circle_tail_bound():
-    seq = XiSequence.power_law(2)
-    res = kernel_eval(KernelId.NK, seq, CirclePoint(1, Fraction(1, 4)), CirclePoint(1, 0), trunc=100)
-    # N_K(pi/2) = 2 sum n^{-2} cos(n pi/2) = 2 * (-pi^2/48) = -pi^2/24
-    target = -math.pi**2 / 24
-    assert abs(float(res.value) - target) <= res.tail_bound + 1e-15
+_SEQUENCES = {
+    "NK": XiSequence.geometric(_HALF),
+    "NA": XiSequence.explicit([3, 2], Fraction(1, 4), xi0=Fraction(3, 4)),
+    "D": XiSequence.power_law(2),
+    "wavy": None,
+    "delta": None,
+}
 
 
-def test_d_kernel_inside_domain():
-    seq = XiSequence.geometric(Fraction(1, 2))
-    z1 = CirclePoint(Fraction(3, 5), 0)
-    z2 = CirclePoint(Fraction(1, 2), 0)
-    res = kernel_eval(KernelId.D, seq, z1, z2, trunc=60)
-    # sum 2^n * 0.3^n * 2 = 2 * 0.6/(1-0.6) = 3
-    assert sp.simplify(res.value - sp.Rational(3)) != 0  # partial sum, not the limit
-    assert abs(float(res.value) - 3.0) <= res.tail_bound
-    assert sp.simplify(res.closed_form - 3) == 0
+@pytest.mark.parametrize("family", _SEQUENCES)
+def test_mode_series_symmetric_in_points(family):
+    x, y = _pair(*_OFF, exact=True)
+    u, v = _pair(*reversed(_OFF), exact=True)
+    seq = _SEQUENCES[family]
+    assert sp.simplify(mode_series(x, y, 0, family, seq, 16, exact=True)
+                       - mode_series(u, v, 0, family, seq, 16, exact=True)) == 0
 
 
-def test_d_kernel_divergent():
-    seq = XiSequence.geometric(Fraction(1, 2))
-    z = CirclePoint(Fraction(4, 5), 0)
-    with pytest.raises(DivergentKernel):
-        kernel_eval(KernelId.D, seq, z, z, trunc=10)
-
-
-def test_d_kernel_power_law_converges_inside():
-    seq = XiSequence.power_law(2)
-    z = CirclePoint(Fraction(1, 2), Fraction(1, 6))
-    res = kernel_eval(KernelId.D, seq, z, z, trunc=80)
-    assert res.tail_bound < 1e-6
-    # direct check against a longer float sum
-    direct = sum(n**2 * 2 * 0.25**n for n in range(1, 200))
-    assert abs(float(res.value) - direct) < 1e-5
-
-
-def test_heisenberg_frozen_value():
-    # x = conj(z1) z2 = 1/2, p = 0, kappa = 1: 2 * (1/2)/(1/4) = 4
-    z1 = CirclePoint(Fraction(1, 2), 0)
-    z2 = CirclePoint(1, 0)
-    res = heisenberg_pair(z1, z2, 1, 0, trunc=80)
-    assert sp.simplify(res.closed_form - 4) == 0
-    assert abs(float(res.value) - 4.0) <= res.tail_bound
-    assert res.tail_bound < 1e-15
-
-
-def test_heisenberg_p_only():
-    res = heisenberg_pair(CirclePoint(0, 0), CirclePoint(0, 0), 1, Fraction(2), trunc=10)
-    assert sp.simplify(res.value - 4) == 0
-
-
-def test_heisenberg_equal_angle_on_circle_singular():
-    res = heisenberg_pair(CirclePoint(1, Fraction(1, 3)), CirclePoint(1, Fraction(1, 3)), 1, 0)
-    assert res.singular
-    assert res.value is None
-
-
-def test_heisenberg_on_circle_distinct_angles_abel_form():
-    res = heisenberg_pair(CirclePoint(1, Fraction(1, 2)), CirclePoint(1, 0), 1, 0, trunc=16)
-    # x = -1: closed form 2x/(1-x)^2 = -1/2
-    assert sp.simplify(res.closed_form + sp.Rational(1, 2)) == 0
-    assert res.tail_bound == math.inf
-    assert not res.singular
-
-
-def test_heisenberg_symbolic_kappa():
-    kappa = sp.Symbol("kappa", positive=True)
-    res = heisenberg_pair(CirclePoint(Fraction(1, 2), 0), CirclePoint(1, 0), kappa, 0, trunc=60)
-    assert sp.simplify(res.closed_form - 4 * kappa) == 0
-
-
-def test_radius_validation():
-    seq = XiSequence.geometric(Fraction(1, 2))
-    with pytest.raises(ValueError):
-        kernel_eval(KernelId.NK, seq, CirclePoint(Fraction(3, 2), 0), CirclePoint(1, 0))
-    with pytest.raises(ValueError):
-        heisenberg_pair(CirclePoint(2, 0), CirclePoint(1, Fraction(1, 4)), 1, 0, trunc=8)
-
-
-def test_negative_truncation_is_rejected():
-    seq = XiSequence.power_law(2)
-    with pytest.raises(ValueError):
-        kernel_eval(KernelId.NK, seq, CirclePoint(1, Fraction(1, 4)), CirclePoint(1, 0), trunc=-1)
-    with pytest.raises(ValueError):
-        heisenberg_pair(CirclePoint(Fraction(1, 2), 0), CirclePoint(1, 0), 1, 0, trunc=-2)
-
-
-def test_power_law_bound_at_zero_truncation():
-    # the whole series 2 sum_n n^-2 cos(n pi / 2) = -pi^2 / 24 is bounded by 2 zeta(2) <= 4
-    seq = XiSequence.power_law(2)
-    res = kernel_eval(KernelId.NK, seq, CirclePoint(1, Fraction(1, 4)), CirclePoint(1, 0), trunc=0)
-    assert res.value == 0
-    assert res.tail_bound == 4.0
-    assert abs(-math.pi**2 / 24 - res.value) <= res.tail_bound
+@pytest.mark.parametrize("family, k", [(f, k) for f in _SEQUENCES for k in (0, 1, 2)],
+                         ids=[f"{f}-{k}" for f in _SEQUENCES for k in (0, 1, 2)])
+def test_mode_series_float_matches_exact(family, k):
+    points = (CirclePoint(1, Fraction(1, 7)), CirclePoint(Fraction(3, 4), 0))
+    seq = _SEQUENCES[family]
+    want = complex(mode_series(*_pair(*points, exact=True), k, family, seq, 12, exact=True))
+    got = mode_series(*_pair(*points), k, family, seq, 12)
+    assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
 
 @pytest.mark.parametrize("cfg", [
@@ -201,6 +140,7 @@ def test_power_law_bound_at_zero_truncation():
     {"kind": "geometric", "q": [1]},
     {"kind": "explicit", "head": "1", "tail_ratio": "1/2"},
     ["geometric"],
+    {"kind": "geometric", "q": "1/0"},
 ])
 def test_from_config_rejects_malformed_configs(cfg):
     with pytest.raises(ValueError):

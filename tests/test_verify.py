@@ -263,6 +263,17 @@ def test_expression_value_tokens():
     assert abs(got3 - w * v["D"]) < 1e-12
 
 
+@pytest.mark.parametrize("family", ["wavy", "D", "NK", "NA"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_relabel_keeps_the_value_of_a_swapped_factor(family, k):
+    # swapping the endpoints of a k-th derivative factor costs (-1)^k
+    t = Term(Coeff.unit(), smooth=((family, k, 0, 1),))
+    want = expression_value(Expression([t]), {0: Z1, 1: Z2}, SEQ, trunc=N)
+    got = expression_value(Expression([t.relabel({0: 1, 1: 0})]), {0: Z2, 1: Z1}, SEQ, trunc=N)
+    assert abs(want) > 1e-3
+    assert abs(got - want) < 1e-12 * abs(want)
+
+
 def test_expression_value_rejects_negative_truncation():
     # a negative truncation would keep only the constant parts of each series
     half = Fraction(1, 2)
