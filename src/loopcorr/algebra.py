@@ -166,82 +166,51 @@ def expand_current(name: str, index: int, cfg: SectorConfig) -> List[PrimitiveTe
 
 @dataclass(frozen=True)
 class CommPart:
-    """One term of a primitive commutator: coefficient, distribution tokens
-    (deltas and smooth factors, as in :class:`loopcorr.distributions.Term`)
-    and surviving operator letters (letter, index)."""
+    """One term of a primitive commutator: coefficient and distribution
+    tokens (deltas and smooth factors, as in
+    :class:`loopcorr.distributions.Term`)."""
 
     coeff: Coeff
     deltas: Tuple[Tuple[int, int, int], ...] = ()
     smooth: Tuple[Tuple[str, int, int, int], ...] = ()
-    letters: Tuple[Tuple[str, int], ...] = ()
 
 
 def primitive_commutator(left: str, right: str, i: int, j: int,
                          cfg: SectorConfig) -> List[CommPart]:
-    """[left(u_i), right(u_j)] for primitive letters, i != j.
+    """[left(u_i), right(u_j)], i != j, for the pairs a contraction diagram
+    makes.  a and b have the same commutator with every multiplication-type
+    letter:
 
-    a and b commute with each other in the non-unitary sector and give the
-    dotted pairing D (plus the zero-mode constant 1/(2 xi_0) in A) in the
-    unitary sector; with every multiplication-type letter they have the same
-    commutator.  h = (a+b)/2 follows by linearity.  rho commutes with the
-    whole ax+b story; its pairing is handled by the diagram layer.
+    * a or b against alpha^eps: -eps delta(u_i - u_j), times alpha^eps(u_j),
+      which stays in place;
+    * a or b against e^sig: +i sig delta(u_i - u_j), times e^sig(u_j);
+    * a or b against the terminal alpha^- d alpha^+: +delta'(u_i - u_j), and
+      against e^- d e^+: -i delta'(u_i - u_j), both pure numbers;
+    * a against b, in the unitary sector only: the dotted pairing D, plus
+      the zero-mode constant 1/(2 xi_0) in A.
+
+    Every other pair raises ``ValueError``.
     """
     if i == j:
         raise ValueError("primitive commutators need distinct insertion points")
-    if left == H_:
-        half = []
-        for part in (primitive_commutator(A_, right, i, j, cfg)
-                     + primitive_commutator(B_, right, i, j, cfg)):
-            half.append(CommPart(part.coeff.scale(HALF), part.deltas, part.smooth, part.letters))
-        return half
-    if left not in (A_, B_):
-        raise ValueError(f"commutators are implemented from the a/b side, got {left!r}")
-
-    # delta(u_i - u_j) is even under the endpoint swap, delta' picks up flip
-    lo, hi, flip = orient(i, j, 1)
-    d0, d1 = (lo, hi, 0), (lo, hi, 1)
-    if right in (A_, B_):
-        if right == left:
-            return []
-        if not cfg.unitary:
-            return []
-        sign = 1 if (left, right) == (A_, B_) else -1
-        parts = [CommPart(Coeff.complex_rat(sign), smooth=(("D", 0, lo, hi),))]
-        if cfg.realization == "A":
-            parts.append(CommPart(Coeff.unit(xi0=-1, re=Fraction(sign, 2))))
-        return parts
-    if right == H_:
-        out = []
-        for part in primitive_commutator(left, A_, i, j, cfg) + primitive_commutator(left, B_, i, j, cfg):
-            out.append(CommPart(part.coeff.scale(HALF), part.deltas, part.smooth, part.letters))
-        return out
-    if right == RHO:
-        return []
-
-    if right in (ALP, ALM):
-        eps = EXP_CHARGE[right]
-        return [CommPart(Coeff.complex_rat(-eps), deltas=(d0,), letters=((right, j),))]
-    if right in (EP, EM):
-        sig = EXP_CHARGE[right]
-        return [CommPart(Coeff.complex_rat(0, sig), deltas=(d0,), letters=((right, j),))]
-    if right in (DALP, DALM):
-        # d/dv of the alpha commutator: two terms, with
-        # d_v delta(u_i - u_j) = -(d_{u_i} delta) in token orientation terms
-        eps = EXP_CHARGE[right]
-        base = ALP if eps > 0 else ALM
-        return [CommPart(Coeff.complex_rat(eps * flip), deltas=(d1,), letters=((base, j),)),
-                CommPart(Coeff.complex_rat(-eps), deltas=(d0,), letters=((right, j),))]
-    if right in (DEP, DEM):
-        sig = EXP_CHARGE[right]
-        base = EP if sig > 0 else EM
-        return [CommPart(Coeff.complex_rat(0, -sig * flip), deltas=(d1,), letters=((base, j),)),
-                CommPart(Coeff.complex_rat(0, sig), deltas=(d0,), letters=((right, j),))]
-    if right == LK:
-        # [a/b(u), alpha^- d alpha^+ (v)] = + delta'(u - v), a pure number
-        return [CommPart(Coeff.complex_rat(flip), deltas=(d1,))]
-    if right == LA:
-        return [CommPart(Coeff.complex_rat(0, -flip), deltas=(d1,))]
-    raise ValueError(f"unknown letter {right!r}")
+    if left in (A_, B_):
+        # delta(u_i - u_j) is even under the endpoint swap, delta' picks up flip
+        lo, hi, flip = orient(i, j, 1)
+        if right in (ALP, ALM):
+            return [CommPart(Coeff.complex_rat(-EXP_CHARGE[right]), deltas=((lo, hi, 0),))]
+        if right in (EP, EM):
+            return [CommPart(Coeff.complex_rat(0, EXP_CHARGE[right]), deltas=((lo, hi, 0),))]
+        if right == LK:
+            return [CommPart(Coeff.complex_rat(flip), deltas=((lo, hi, 1),))]
+        if right == LA:
+            return [CommPart(Coeff.complex_rat(0, -flip), deltas=((lo, hi, 1),))]
+        if (left, right) == (A_, B_) and cfg.unitary:
+            parts = [CommPart(Coeff.complex_rat(1), smooth=(("D", 0, lo, hi),))]
+            if cfg.realization == "A":
+                parts.append(CommPart(Coeff.unit(xi0=-1, re=HALF)))
+            return parts
+    raise ValueError(f"no contraction of {left!r} with {right!r} "
+                     f"in the {cfg.sector} sector")
 
 
 # ---------------------------------------------------------------------------

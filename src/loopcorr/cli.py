@@ -22,7 +22,7 @@ from typing import Dict, List, Tuple
 from . import verify
 from .algebra import (CURRENTS_A, CURRENTS_K, SectorConfig, classical_check, current_def,
                       star_check)
-from .diagrams import enumerate_diagrams, loop_components, to_dot
+from .diagrams import enumerate_diagrams, to_dot
 from .errors import LoopcorrError, ParseError, RealizationMismatch
 from .kernels import CirclePoint, XiSequence, _as_fraction
 from .renorm import CurrentWord, RenormScheme, evaluate_correlator
@@ -125,7 +125,13 @@ def _scheme(args) -> RenormScheme:
 def _radius(args) -> Fraction:
     if args.on_circle or args.radius is None:
         return Fraction(1)
-    return Fraction(str(args.radius))
+    return _as_fraction(args.radius, "--radius")
+
+
+def _mode_model(args) -> Dict[str, float]:
+    """The central parameter and the zero mode, as keyword arguments."""
+    return {"kappa": float(_as_fraction(args.kappa, "--kappa")),
+            "p": float(_as_fraction(args.p, "--p"))}
 
 
 def _reradius(word: CurrentWord, args) -> CurrentWord:
@@ -181,7 +187,7 @@ def _cmd_diagrams(args) -> int:
     drawings = [to_dot(d) for d in diags]
     if args.format == "json":
         print(json.dumps({"word": render_word(word.names), "count": len(drawings),
-                          "looped": sum(1 for d in diags if loop_components(d.edges)),
+                          "looped": sum(1 for d in diags if d.loops),
                           "dot": drawings}, sort_keys=True))
     else:
         print("\n".join(drawings))
@@ -195,8 +201,7 @@ def _cmd_gram(args) -> int:
     test = {m: 1.0 for m in range(-args.degree, args.degree + 1)}
     entries = [(w.names, [dict(test) for _ in w.names]) for w in words]
     rep = verify.gram_matrix(entries, _scheme(args), _sequence(args),
-                             kappa=float(Fraction(str(args.kappa))),
-                             p=float(Fraction(str(args.p))), trunc=args.trunc)
+                             trunc=args.trunc, **_mode_model(args))
     payload = {
         "words": [render_word(w) for w in rep.words],
         "matrix": [[[z.real, z.imag] for z in row] for row in rep.matrix.tolist()],
@@ -215,7 +220,7 @@ def _cmd_oracle(args) -> int:
     n = len(names)
     rad = Fraction(1, 2) if (args.radius is None and not args.on_circle) else _radius(args)
     if args.angles:
-        turns = [Fraction(t) for t in args.angles.split()]
+        turns = [_as_fraction(t, "--angles") for t in args.angles.split()]
         if len(turns) != n:
             raise ParseError(f"need {n} angles, got {len(turns)}", 1, ())
     else:
@@ -223,9 +228,7 @@ def _cmd_oracle(args) -> int:
     points = [CirclePoint(rad, t) for t in turns]
     cfg = SectorConfig(realization=args.realization, sector=args.sector)
     val = verify.gaussian_oracle(names, points, cfg, _sequence(args),
-                                 trunc=args.trunc,
-                                 kappa=float(Fraction(str(args.kappa))),
-                                 p=float(Fraction(str(args.p))))
+                                 trunc=args.trunc, **_mode_model(args))
     val = complex(val)
     _emit(args, {"real": val.real, "imag": val.imag}, [repr(val)])
     return 0

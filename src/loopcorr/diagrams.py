@@ -33,10 +33,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
-from .algebra import CURRENT_CHARGE, EXP_CHARGE, SectorConfig, current_def, primitive_commutator
+from .algebra import CURRENT_CHARGE, EXP_CHARGE, SectorConfig, expand_current, primitive_commutator
 from .distributions import (Coeff, Expression, Term, UnionFind, charge_vanishes, gaussian_rule,
                             orient)
-from .errors import RealizationMismatch, StructuralViolation
+from .errors import StructuralViolation
 
 logger = logging.getLogger(__name__)
 
@@ -67,11 +67,16 @@ class Edge(NamedTuple):
     into: str     # "exp" | "terminal" | "stub"
 
 
+# a closed cycle of plain delta edges, as :func:`loop_components` gives it
+Cycle = Tuple[Tuple[int, int], ...]
+
+
 @dataclass(frozen=True)
 class Diagram:
     word: Tuple[str, ...]
     choices: Tuple[VertexChoice, ...]
     edges: Tuple[Edge, ...]
+    loops: Tuple[Cycle, ...]   # the loop_components of the edges
     rho_pairs: Tuple[Tuple[int, int], ...] = ()
     rho_singles: Tuple[int, ...] = ()
 
@@ -85,13 +90,9 @@ _TERMINALS = {"alpha-dalpha+", "e-de+"}
 def vertex_choices(name: str, position: int, cfg: SectorConfig) -> Tuple[VertexChoice, ...]:
     """The summands of a current as structural vertex choices.  The h letter
     splits into its a and b halves here."""
-    d = current_def(name)
-    if d.realization != cfg.realization:
-        raise RealizationMismatch(
-            f"current {name} lives in realization {d.realization}, "
-            f"but the configuration says {cfg.realization}")
     out: List[VertexChoice] = []
-    for coeff, letters in d.terms:
+    for term in expand_current(name, position, cfg):
+        coeff, letters = term.coeff, term.symbols
         if letters == ("h",):
             half = coeff.scale(Fraction(1, 2))
             out.append(VertexChoice(position, name, half, stub="a"))
@@ -122,7 +123,7 @@ def vertex_choices(name: str, position: int, cfg: SectorConfig) -> Tuple[VertexC
 
 
 def _resolve_stubs(choices: Sequence[VertexChoice], cfg: SectorConfig
-                   ) -> Iterator[Tuple[Tuple[Edge, ...], List[Loop]]]:
+                   ) -> Iterator[Tuple[Tuple[Edge, ...], Tuple[Cycle, ...]]]:
     """All complete stub resolutions for a fixed choice of vertex terms, each
     with its loops: the :func:`loop_components` of its edges.
 
@@ -130,12 +131,12 @@ def _resolve_stubs(choices: Sequence[VertexChoice], cfg: SectorConfig
     on backtrack.  The loops change only when a plain edge closes a cycle,
     and only then does :func:`loop_components` run, on the edges placed so
     far; any other edge hangs a tree onto a component and leaves every cycle
-    as it was.  The loop lists are shared between structures and must not be
-    changed."""
+    as it was."""
     n = len(choices)
     uf = UnionFind()
 
-    def rec(s: int, consumed: Set[int], hits: Set[int], edges: List[Edge], loops: List[Loop]):
+    def rec(s: int, consumed: Set[int], hits: Set[int], edges: List[Edge],
+            loops: Tuple[Cycle, ...]):
         while s < n and (choices[s].stub is None or s in consumed):
             s += 1
         if s == n:
@@ -168,7 +169,7 @@ def _resolve_stubs(choices: Sequence[VertexChoice], cfg: SectorConfig
                 edges.pop()
         # a stub with no accepted target annihilates the diagram: no yield
 
-    yield from rec(0, set(), set(), [], [])
+    yield from rec(0, set(), set(), [], ())
 
 
 def _rho_matchings(positions: Sequence[int]
@@ -187,14 +188,14 @@ def _rho_matchings(positions: Sequence[int]
 
 
 def enumerate_diagrams(word: Sequence[str], cfg: SectorConfig) -> Iterator[Diagram]:
-    """All contraction diagrams of a current word."""
+    """All contraction diagrams of a current word, each with its loops."""
     word = tuple(word)
     per_vertex = [vertex_choices(nm, k, cfg) for k, nm in enumerate(word)]
     for combo in itertools.product(*per_vertex):
         rho_pos = [c.position for c in combo if c.rho]
-        for edges, _loops in _resolve_stubs(combo, cfg):
+        for edges, loops in _resolve_stubs(combo, cfg):
             for pairs, singles in _rho_matchings(rho_pos):
-                yield Diagram(word, combo, edges, pairs, singles)
+                yield Diagram(word, combo, edges, loops, pairs, singles)
 
 
 # ---------------------------------------------------------------------------
@@ -217,12 +218,7 @@ def _edge_parts(edge: Edge, choices: Sequence[VertexChoice], cfg: SectorConfig
     parts = primitive_commutator("a" if edge.kind == "dot" else edge.kind,
                                  letter, edge.source, edge.target, cfg)
     sign = -1 if edge.kind == "b" else 1
-    out = []
-    for part in parts:
-        if part.letters and edge.into != "exp":
-            raise StructuralViolation("unexpected surviving letters on an edge")
-        out.append((part.coeff.scale(sign), part.deltas, part.smooth))
-    return out
+    return [(part.coeff.scale(sign), part.deltas, part.smooth) for part in parts]
 
 
 def _terminal_branches(unhit: Sequence[int], charges: Sequence[Tuple[int, int]],
@@ -323,17 +319,10 @@ def correlator_expression(word: Sequence[str], cfg: SectorConfig,
 # ---------------------------------------------------------------------------
 
 
-class Loop(NamedTuple):
-    """A plain-delta component that closes a cycle: its first Betti number,
-    always 1, and the sorted pairs (i, j), i < j, of its cycle edges."""
-
-    betti: int
-    pairs: Tuple[Tuple[int, int], ...]
-
-
-def loop_components(edges: Sequence[Edge]) -> List[Loop]:
+def loop_components(edges: Sequence[Edge]) -> Tuple[Cycle, ...]:
     """The cycles of the plain-delta edge graph, one per component that
-    closes one, in the order of their smallest pair.
+    closes one, each as the sorted pairs (i, j), i < j, of its edges, in the
+    order of their smallest pair.
 
     Only plain (k = 0) solid edges count: terminal hits are delta' edges and
     dotted edges are not deltas at all.  An insertion has one stub at most,
@@ -360,9 +349,8 @@ def loop_components(edges: Sequence[Edge]) -> List[Loop]:
             v = succ[v]
         if walk.get(v) == start:
             pairs = [(u, succ[u]) if u < succ[u] else (succ[u], u) for u in path[path.index(v):]]
-            loops.append(Loop(1, tuple(sorted(pairs))))
-    loops.sort()
-    return loops
+            loops.append(tuple(sorted(pairs)))
+    return tuple(sorted(loops))
 
 
 @dataclass
@@ -395,15 +383,14 @@ def loop_census(word: Sequence[str], cfg: SectorConfig) -> CensusReport:
         per_vertex.append(list(classes.values()))
     total = looped = 0
     loops: Counter = Counter()
-    max_betti = 0
     for combo in itertools.product(*per_vertex):
         for _edges, found in _resolve_stubs(combo, cfg):
             total += 1
             for loop in found:
-                max_betti = max(max_betti, loop.betti)
-                loops[len(loop.pairs)] += 1
+                loops[len(loop)] += 1
             looped += bool(found)
-    return CensusReport(word, total, looped, loops, max_betti)
+    # each loop is one cycle of its own component
+    return CensusReport(word, total, looped, loops, int(looped > 0))
 
 
 def to_dot(diagram: Diagram) -> str:

@@ -51,7 +51,7 @@ def _as_fraction(x, name: str) -> Fraction:
     if isinstance(x, str):
         try:
             return Fraction(x)
-        except ZeroDivisionError:
+        except (ValueError, ZeroDivisionError):
             raise ValueError(f"{name} must be a finite rational, got {x!r}") from None
     if isinstance(x, float):
         return Fraction(x).limit_denominator(10**12)

@@ -32,7 +32,7 @@ from types import MappingProxyType
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import CURRENT_CHARGE, SectorConfig
-from .diagrams import Diagram, diagram_weight, enumerate_diagrams, loop_components
+from .diagrams import Diagram, diagram_weight, enumerate_diagrams
 from .distributions import Coeff, Expression, Term, UnionFind, canonicalize, charge_vanishes
 from .errors import MissingMu, StructuralViolation
 
@@ -133,18 +133,18 @@ def renormalize_loop(vertices: Sequence[int], k: int) -> Tuple[Coeff, Tuple]:
 
 
 def renormalize_diagram(diagram: Diagram, cfg: SectorConfig) -> List[Term]:
-    """Weight terms of one diagram with every delta cycle substituted."""
-    loops = loop_components(diagram.edges)
-    if not loops:
+    """Weight terms of one diagram with every delta cycle of
+    ``diagram.loops`` substituted."""
+    if not diagram.loops:
         return diagram_weight(diagram, cfg)
     factor = Coeff.unit()
     removed: List[Tuple[int, int, int]] = []
     chain: List[Tuple[int, int, int]] = []
-    for loop in loops:
-        mu_c, chain_c = renormalize_loop(sorted(set().union(*loop.pairs)), len(loop.pairs))
+    for pairs in diagram.loops:
+        mu_c, chain_c = renormalize_loop(sorted(set().union(*pairs)), len(pairs))
         factor = factor * mu_c
         chain.extend(chain_c)
-        removed.extend((i, j, 0) for (i, j) in loop.pairs)
+        removed.extend((i, j, 0) for (i, j) in pairs)
     out = []
     for t in diagram_weight(diagram, cfg):
         deltas = list(t.deltas)

@@ -142,17 +142,22 @@ def test_sizes_that_cannot_be_honoured_are_usage_errors(argv, capsys):
     assert argv[-2].lstrip("-") in err["message"]
 
 
-@pytest.mark.parametrize("flag, value", [
-    ("--angles", "0 1/0"),
-    ("--radius", "1/0"),
-    ("--kappa", "1/0"),
-    ("--p", "1/0"),
+@pytest.mark.parametrize("command, flag, value", [
+    pytest.param("oracle", "--angles", "0 1/0", id="--angles-0 1/0"),
+    pytest.param("oracle", "--radius", "1/0", id="--radius-1/0"),
+    pytest.param("oracle", "--kappa", "1/0", id="--kappa-1/0"),
+    pytest.param("oracle", "--p", "1/0", id="--p-1/0"),
+    pytest.param("eval", "--radius", "1/0", id="eval --radius-1/0"),
+    pytest.param("gram", "--kappa", "1/0", id="gram --kappa-1/0"),
 ])
-def test_zero_denominator_rationals_are_usage_errors(flag, value, capsys):
-    assert main(["oracle", "ap(1) am(2)", flag, value]) == 2
+def test_zero_denominator_rationals_are_usage_errors(command, flag, value, capsys):
+    word = {"oracle": "ap(1) am(2)", "eval": "Jp(1) Jm(2)", "gram": "J3(1)"}[command]
+    assert main([command, word, flag, value]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert json.loads(captured.err)["error"] == "ZeroDivisionError"
+    err = json.loads(captured.err)
+    assert err["error"] == "ValueError"
+    assert flag in err["message"]
 
 
 def test_selfcheck_small(capsys):

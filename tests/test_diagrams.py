@@ -18,10 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from loopcorr.algebra import CURRENTS_A, CURRENTS_K, SectorConfig
 from loopcorr.diagrams import (
-    Diagram,
     Edge,
-    Loop,
-    VertexChoice,
     _resolve_stubs,
     correlator_expression,
     correlator_terms,
@@ -238,10 +235,8 @@ def test_structural_invariants():
                     assert e.source < e.target
                 else:
                     assert e.source > e.target
-            for comp in loop_components(d.edges):
-                assert comp.betti <= 1
     # the successor walk of loop_components rests on this: at most one edge
-    # leaves each insertion
+    # leaves each insertion; every diagram carries the loops of its edges
     for cfg in (K, KU, A, AU):
         currents = CURRENTS_K if cfg.realization == "K" else CURRENTS_A
         for n in range(1, 5):
@@ -249,44 +244,39 @@ def test_structural_invariants():
                 for d in enumerate_diagrams(word, cfg):
                     sources = [e.source for e in d.edges]
                     assert len(sources) == len(set(sources)), (word, d.edges)
+                    assert d.loops == loop_components(d.edges), (word, d.edges)
 
 
-def _solid_diagram(n, solid, dotted=()):
-    """A hand-built diagram on n charged insertions: plain delta edges for
-    ``solid``, dotted stub pairings for ``dotted``."""
-    choices = tuple(VertexChoice(i, "J+", Coeff.unit(), charge=1) for i in range(n))
-    edges = tuple([Edge("a", s, t, "exp") for (s, t) in solid]
-                  + [Edge("dot", s, t, "stub") for (s, t) in dotted])
-    return Diagram(("J+",) * n, choices, edges)
+def _solid_edges(solid, dotted=()):
+    """Hand-built edges: plain delta edges for ``solid``, dotted stub
+    pairings for ``dotted``."""
+    return tuple([Edge("a", s, t, "exp") for (s, t) in solid]
+                 + [Edge("dot", s, t, "stub") for (s, t) in dotted])
 
 
 def test_loop_components_two_cycles_in_one_component():
     # two cycles share a component only through an insertion that two plain
     # edges leave, here 1
     with pytest.raises(StructuralViolation):
-        loop_components(_solid_diagram(3, [(0, 1), (1, 0), (1, 2), (2, 1)]).edges)
+        loop_components(_solid_edges([(0, 1), (1, 0), (1, 2), (2, 1)]))
 
 
 def test_two_plain_edges_leaving_one_insertion_raise():
     # a tree, but no enumerated diagram has two stubs at insertion 0
-    d = _solid_diagram(3, [(0, 1), (0, 2)])
     with pytest.raises(StructuralViolation):
-        loop_components(d.edges)
-    with pytest.raises(StructuralViolation):
-        renormalize_diagram(d, K)
+        loop_components(_solid_edges([(0, 1), (0, 2)]))
 
 
 def test_loop_components_disjoint_cycles():
-    d = _solid_diagram(5, [(0, 1), (1, 0), (2, 3), (3, 4), (4, 2)])
-    assert loop_components(d.edges) == [Loop(1, ((0, 1), (0, 1))),
-                                        Loop(1, ((2, 3), (2, 4), (3, 4)))]
+    edges = _solid_edges([(0, 1), (1, 0), (2, 3), (3, 4), (4, 2)])
+    assert loop_components(edges) == (((0, 1), (0, 1)), ((2, 3), (2, 4), (3, 4)))
 
 
 def test_loop_components_strip_pendant_edges():
     # the pendant edge 3-2 is off the cycle; the dotted edge 0-3 is no delta
-    d = _solid_diagram(4, [(0, 1), (1, 2), (2, 0), (3, 2)], dotted=[(0, 3)])
-    assert loop_components(d.edges) == [Loop(1, ((0, 1), (0, 2), (1, 2)))]
-    assert loop_components(_solid_diagram(4, [(0, 1), (1, 2), (2, 3)]).edges) == []
+    edges = _solid_edges([(0, 1), (1, 2), (2, 0), (3, 2)], dotted=[(0, 3)])
+    assert loop_components(edges) == (((0, 1), (0, 2), (1, 2)),)
+    assert loop_components(_solid_edges([(0, 1), (1, 2), (2, 3)])) == ()
 
 
 def test_loop_census_two_point():
@@ -352,7 +342,7 @@ def _bruteforce_loops(edges):
                 break
         else:
             groups.append([pair])
-    return sorted(Loop(1, tuple(sorted(group))) for group in groups)
+    return tuple(sorted(tuple(sorted(group)) for group in groups))
 
 
 @st.composite
@@ -415,6 +405,25 @@ def test_loop_census_matches_bruteforce():
             for word in itertools.product(names, repeat=n):
                 rep = loop_census(word, cfg)
                 assert (rep.diagrams, rep.looped, rep.max_betti) == census(word), word
+
+
+def test_each_loop_is_found_once(monkeypatch):
+    # enumeration hands every diagram the loops of its stub structure, so
+    # renormalizing all diagrams searches for no loop again
+    calls = []
+
+    def counted(edges):
+        calls.append(1)
+        return loop_components(edges)
+
+    monkeypatch.setattr("loopcorr.diagrams.loop_components", counted)
+    word = ("J+", "J-", "J+", "J-", "J3")
+    diagrams = list(enumerate_diagrams(word, K))
+    enumerated = len(calls)
+    assert enumerated > 0
+    for d in diagrams:
+        renormalize_diagram(d, K)
+    assert len(calls) == enumerated
 
 
 def test_to_dot_smoke():

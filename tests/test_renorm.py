@@ -6,9 +6,10 @@ import pytest
 
 from loopcorr import renorm
 from loopcorr.algebra import SectorConfig
-from loopcorr.diagrams import Diagram, Edge, VertexChoice, diagram_weight, enumerate_diagrams
+from loopcorr.diagrams import (Diagram, Edge, VertexChoice, diagram_weight, enumerate_diagrams,
+                               loop_components)
 from loopcorr.distributions import Coeff, canonicalize, detect_singular
-from loopcorr.errors import MissingMu, StructuralViolation
+from loopcorr.errors import MissingMu
 from loopcorr.kernels import CirclePoint, XiSequence
 from loopcorr.renorm import (
     CurrentWord,
@@ -172,7 +173,8 @@ def _hand_diagram(charges, solid, dotted):
                     for i, q in enumerate(charges))
     edges = tuple([Edge("a", s, t, "exp") for (s, t) in solid]
                   + [Edge("dot", s, t, "stub") for (s, t) in dotted])
-    return Diagram(tuple("J+" for _ in charges), choices, edges)
+    return Diagram(tuple("J+" for _ in charges), choices, edges,
+                   loops=loop_components(edges))
 
 
 def test_dotted_filter_rules():
@@ -189,12 +191,6 @@ def test_dotted_filter_rules():
     assert dotted_filter(d, "either-side")
     # no dotted edges: vacuous
     assert dotted_filter(_hand_diagram([1, -1], [(0, 1)], []))
-
-
-def test_renormalize_diagram_rejects_two_cycles_in_one_component():
-    d = _hand_diagram([1, -1, 1], [(0, 1), (1, 0), (1, 2), (2, 1)], [])
-    with pytest.raises(StructuralViolation):
-        renorm.renormalize_diagram(d, K)
 
 
 def test_loop_free_diagram_renormalizes_to_its_weight():
