@@ -8,6 +8,7 @@ in every realization, with and without the unitary dotted pairing.
 
 import importlib.util
 import itertools
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -409,14 +410,18 @@ def test_loop_census_matches_bruteforce():
 
 def test_each_loop_is_found_once(monkeypatch):
     # enumeration hands every diagram the loops of its stub structure, so
-    # renormalizing all diagrams searches for no loop again
+    # renormalizing all diagrams searches for no loop again; the counter
+    # replaces loop_components under every loopcorr name that holds it
     calls = []
 
     def counted(edges):
         calls.append(1)
         return loop_components(edges)
 
-    monkeypatch.setattr("loopcorr.diagrams.loop_components", counted)
+    for name, module in list(sys.modules.items()):
+        held = getattr(module, "loop_components", None)
+        if name.startswith("loopcorr") and held is loop_components:
+            monkeypatch.setattr(module, "loop_components", counted)
     word = ("J+", "J-", "J+", "J-", "J3")
     diagrams = list(enumerate_diagrams(word, K))
     enumerated = len(calls)
