@@ -26,14 +26,15 @@ so the sign conventions live in exactly one place.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import logging
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
-from .algebra import CURRENT_CHARGE, EXP_CHARGE, SectorConfig, expand_current, primitive_commutator
+from .algebra import (CURRENT_CHARGE, EXP_CHARGE, HALF, SectorConfig, expand_current,
+                      primitive_commutator)
 from .distributions import (Coeff, Expression, Term, UnionFind, charge_vanishes, gaussian_rule,
                             orient)
 from .errors import StructuralViolation
@@ -86,6 +87,8 @@ _DERIV_LETTERS = {"dalpha+": "alpha+", "dalpha-": "alpha-",
                   "de+": "e+", "de-": "e-"}
 _TERMINALS = {"alpha-dalpha+", "e-de+"}
 
+_HALF = Coeff.complex_rat(HALF)
+
 
 def vertex_choices(name: str, position: int, cfg: SectorConfig) -> Tuple[VertexChoice, ...]:
     """The summands of a current as structural vertex choices.  The h letter
@@ -94,7 +97,7 @@ def vertex_choices(name: str, position: int, cfg: SectorConfig) -> Tuple[VertexC
     for term in expand_current(name, position, cfg):
         coeff, letters = term.coeff, term.symbols
         if letters == ("h",):
-            half = coeff.scale(Fraction(1, 2))
+            half = coeff * _HALF
             out.append(VertexChoice(position, name, half, stub="a"))
             out.append(VertexChoice(position, name, half, stub="b"))
         elif len(letters) == 1 and letters[0] in _TERMINALS:
@@ -203,14 +206,26 @@ def enumerate_diagrams(word: Sequence[str], cfg: SectorConfig) -> Iterator[Diagr
 # ---------------------------------------------------------------------------
 
 
-def _edge_parts(edge: Edge, choices: Sequence[VertexChoice], cfg: SectorConfig
-                ) -> List[Tuple[Coeff, Tuple, Tuple]]:
-    """(coeff, delta tokens, smooth tokens) alternatives for one edge: the
-    primitive commutator of the edge's stub with its target letter."""
-    tc = choices[edge.target]
+# constants of the weight layer, built once
+_ONE = Coeff.one()
+_KAPPA = Coeff.unit(kappa=1)
+# the delta' counterterm of a wavy pair: -i kappa in K, +i kappa in A
+_COUNTERTERM = {"K": Coeff.unit(kappa=1, re=0, im=-1), "A": Coeff.unit(kappa=1, re=0, im=1)}
+
+# The two tables below are keyed by data bounded by the word length and the
+# sector (an edge with its target's charge; the unhit terminals and charges
+# of a diagram).  Sixteen 5-insertion words in K and A fill under 300 keys.
+
+
+@functools.lru_cache(maxsize=4096)
+def _edge_parts(edge: Edge, charge: Optional[int], cfg: SectorConfig
+                ) -> Tuple[Tuple[Coeff, Tuple, Tuple], ...]:
+    """(coeff, delta tokens, smooth tokens) alternatives for one edge into
+    a target of exponential ``charge``: the primitive commutator of the
+    edge's stub with its target letter."""
     if edge.into == "exp":
         letter = {("K", 1): "alpha+", ("K", -1): "alpha-",
-                  ("A", 1): "e+", ("A", -1): "e-"}[(cfg.realization, tc.charge)]
+                  ("A", 1): "e+", ("A", -1): "e-"}[(cfg.realization, charge)]
     elif edge.into == "terminal":
         letter = "alpha-dalpha+" if cfg.realization == "K" else "e-de+"
     else:
@@ -218,16 +233,17 @@ def _edge_parts(edge: Edge, choices: Sequence[VertexChoice], cfg: SectorConfig
     parts = primitive_commutator("a" if edge.kind == "dot" else edge.kind,
                                  letter, edge.source, edge.target, cfg)
     sign = -1 if edge.kind == "b" else 1
-    return [(part.coeff.scale(sign), part.deltas, part.smooth) for part in parts]
+    return tuple((part.coeff.scale(sign), part.deltas, part.smooth) for part in parts)
 
 
-def _terminal_branches(unhit: Sequence[int], charges: Sequence[Tuple[int, int]],
-                       realization: str) -> List[Tuple[Coeff, Tuple]]:
+@functools.lru_cache(maxsize=4096)
+def _terminal_branches(unhit: Tuple[int, ...], charges: Tuple[Tuple[int, int], ...],
+                       realization: str) -> Tuple[Tuple[Coeff, Tuple], ...]:
     """Isserlis expansion of unconsumed terminals: (coeff, kernel tokens)."""
     family, sign = gaussian_rule(realization)
     if not unhit:
-        return [(Coeff.unit(), ())]
-    v, rest = unhit[0], list(unhit[1:])
+        return ((_ONE, ()),)
+    v, rest = unhit[0], unhit[1:]
     out: List[Tuple[Coeff, Tuple]] = []
     for k, w in enumerate(rest):
         for c2, toks in _terminal_branches(rest[:k] + rest[k + 1:], charges, realization):
@@ -239,44 +255,42 @@ def _terminal_branches(unhit: Sequence[int], charges: Sequence[Tuple[int, int]],
         for c2, toks in _terminal_branches(rest, charges, realization):
             out.append((c2.scale(sign * q * flip), ((family, 1, a, b),) + toks))
     # a terminal with no partner and no charge to radiate against kills the
-    # term, which the empty list encodes
-    return out
+    # term, which the empty tuple encodes
+    return tuple(out)
 
 
 def diagram_weight(diagram: Diagram, cfg: SectorConfig) -> List[Term]:
     """The token terms of one diagram (branching over edge alternatives,
     wavy counterterms and terminal pairings)."""
-    coeff = Coeff.unit()
+    coeff = _ONE
     for ch in diagram.choices:
         coeff = coeff * ch.coeff
 
     variants: List[Tuple[Coeff, List, List]] = [(coeff, [], [])]
 
     for edge in diagram.edges:
-        parts = _edge_parts(edge, diagram.choices, cfg)
+        parts = _edge_parts(edge, diagram.choices[edge.target].charge, cfg)
         variants = [(c * pc, ds + list(pd), sm + list(ps))
                     for (c, ds, sm) in variants
                     for (pc, pd, ps) in parts]
 
-    kappa_re = Coeff.unit(kappa=1)
     for (i, j) in diagram.rho_pairs:
         lo, hi = min(i, j), max(i, j)
-        ctr_im = Fraction(-1 if cfg.realization == "K" else 1)
+        ctr = _COUNTERTERM[cfg.realization]
         new = []
         for (c, ds, sm) in variants:
-            new.append((c * kappa_re, ds, sm + [("wavy", 0, lo, hi)]))
-            ctr = c * Coeff.unit(kappa=1, re=0, im=ctr_im)
-            new.append((ctr, ds + [(lo, hi, 1)], sm))
+            new.append((c * _KAPPA, ds, sm + [("wavy", 0, lo, hi)]))
+            new.append((c * ctr, ds + [(lo, hi, 1)], sm))
         variants = new
     if diagram.rho_singles:
         pfac = Coeff.unit(p=len(diagram.rho_singles))
         variants = [(c * pfac, ds, sm) for (c, ds, sm) in variants]
 
     hit = {e.target for e in diagram.edges if e.into == "terminal"}
-    unhit = sorted(ch.position for ch in diagram.choices
-                   if ch.terminal and ch.position not in hit)
-    charges = [(ch.position, ch.charge) for ch in diagram.choices
-               if ch.charge is not None]
+    unhit = tuple(sorted(ch.position for ch in diagram.choices
+                         if ch.terminal and ch.position not in hit))
+    charges = tuple((ch.position, ch.charge) for ch in diagram.choices
+                    if ch.charge is not None)
     term_branches = _terminal_branches(unhit, charges, cfg.realization)
 
     dmarks = tuple(sorted(ch.position for ch in diagram.choices if ch.deriv))

@@ -3,8 +3,10 @@
 A correlator evaluates to a finite sum of terms.  Each term is a product of
 
 * a scalar coefficient -- an exact complex polynomial in kappa, p, xi_0 and
-  the loop constants mu_k (Fractions throughout, no floats), serialized as
-  monomials ``[[kappa, p, xi0], [[k, mu_k power], ...], re, im]``;
+  the loop constants mu_k, each monomial's scalar held as integer Gaussian
+  numerators over one denominator (no floats; ``Fraction`` only at the
+  boundary, see :class:`Coeff`), serialized as monomials
+  ``[[kappa, p, xi0], [[k, mu_k power], ...], re, im]``;
 * delta factors  d^k/du_i^k delta(u_i - u_j)  (JSON key ``deltas``);
 * smooth factors (JSON key ``smooth``): the k-th angle derivative of one
   truncated mode series (:func:`loopcorr.kernels.mode_series`) of a family
@@ -51,7 +53,10 @@ logger = logging.getLogger(__name__)
 Mono = Tuple[int, int, int, Tuple[Tuple[int, int], ...]]
 MONO_ONE: Mono = (0, 0, 0, ())
 
-_ZERO = Fraction(0)
+# a monomial's scalar: integers (a, b, den) meaning (a + i b)/den
+Part = Tuple[int, int, int]
+
+_gcd = math.gcd
 
 
 def _mono_mul(m1: Mono, m2: Mono) -> Mono:
@@ -66,12 +71,62 @@ def _mono_mul(m1: Mono, m2: Mono) -> Mono:
     )
 
 
+def _ratio(x) -> Tuple[int, int]:
+    """Numerator and denominator of an exact rational.  An int or a Fraction
+    is read as it is; anything else goes through ``Fraction``."""
+    if not isinstance(x, (int, Fraction)):
+        x = Fraction(x)
+    return x.numerator, x.denominator
+
+
+def _reduced(a: int, b: int, den: int) -> Part:
+    """(a + i b)/den in lowest terms; den > 0 and a, b not both zero."""
+    g = _gcd(a, b, den)
+    return (a, b, den) if g == 1 else (a // g, b // g, den // g)
+
+
+def _part(re, im) -> Optional[Part]:
+    """The part of the exact rationals re + i im, None when both vanish."""
+    rn, rd = _ratio(re)
+    imn, imd = _ratio(im)
+    if not rn and not imn:
+        return None
+    den = rd * imd // _gcd(rd, imd)
+    return _reduced(rn * (den // rd), imn * (den // imd), den)
+
+
+def _add_part(d: Dict[Mono, Part], m: Mono, part: Part) -> None:
+    """Add a part in lowest terms to monomial m of d, in place; a sum that
+    cancels removes the monomial."""
+    old = d.get(m)
+    if old is None:
+        d[m] = part
+        return
+    a, b, den = part
+    c, e, q = old
+    if q == den:
+        a, b = a + c, b + e
+    else:
+        a, b, den = a * q + c * den, b * q + e * den, den * q
+    if a or b:
+        d[m] = _reduced(a, b, den)
+    else:
+        del d[m]
+
+
 class Coeff:
-    """Exact scalar: dict monomial -> (real, imag) Fractions."""
+    """Exact scalar: dict monomial -> (a, b, den), integers meaning
+    (a + i b)/den, with den > 0, gcd(a, b, den) == 1 and a, b not both
+    zero.  That form is unique, so equal coefficients have equal dicts.
+
+    Arithmetic works on the integers alone.  ``Fraction`` appears only at
+    the boundary: the ``re``/``im`` arguments of the constructors and the
+    values handed to :meth:`subs_mu` come in as ints or Fractions, and
+    :meth:`parts` gives the real and imaginary parts back as Fractions."""
 
     __slots__ = ("d",)
 
-    def __init__(self, d: Optional[Dict[Mono, Tuple[Fraction, Fraction]]] = None):
+    def __init__(self, d: Optional[Dict[Mono, Part]] = None):
         self.d = d if d is not None else {}
 
     # -- constructors --------------------------------------------------
@@ -82,74 +137,77 @@ class Coeff:
 
     @classmethod
     def complex_rat(cls, re=0, im=0) -> "Coeff":
-        re, im = Fraction(re), Fraction(im)
-        if re == 0 and im == 0:
-            return cls()
-        return cls({MONO_ONE: (re, im)})
+        return cls.unit(re=re, im=im)
 
     @classmethod
     def one(cls) -> "Coeff":
-        return cls.complex_rat(1)
+        return cls({MONO_ONE: (1, 0, 1)})
 
     @classmethod
     def unit(cls, kappa=0, p=0, xi0=0, mu: Optional[Dict[int, int]] = None,
              re=1, im=0) -> "Coeff":
         mono = (kappa, p, xi0, tuple(sorted((k, e) for k, e in (mu or {}).items() if e)))
-        re, im = Fraction(re), Fraction(im)
-        if re == 0 and im == 0:
-            return cls()
-        return cls({mono: (re, im)})
+        part = _part(re, im)
+        return cls() if part is None else cls({mono: part})
+
+    def parts(self) -> Dict[Mono, Tuple[Fraction, Fraction]]:
+        """monomial -> (real part, imaginary part) as Fractions."""
+        return {m: (Fraction(a, den), Fraction(b, den)) for m, (a, b, den) in self.d.items()}
 
     # -- arithmetic -----------------------------------------------------
 
     def __add__(self, other: "Coeff") -> "Coeff":
         d = dict(self.d)
-        for m, (re, im) in other.d.items():
-            r0, i0 = d.get(m, (_ZERO, _ZERO))
-            r, i = r0 + re, i0 + im
-            if r == 0 and i == 0:
-                d.pop(m, None)
-            else:
-                d[m] = (r, i)
+        for m, part in other.d.items():
+            _add_part(d, m, part)
         return Coeff(d)
 
     def __neg__(self) -> "Coeff":
-        return Coeff({m: (-re, -im) for m, (re, im) in self.d.items()})
+        return Coeff({m: (-a, -b, den) for m, (a, b, den) in self.d.items()})
 
     def __sub__(self, other: "Coeff") -> "Coeff":
         return self + (-other)
 
     def __mul__(self, other: "Coeff") -> "Coeff":
         if len(self.d) == 1 and len(other.d) == 1:
-            # the common case in the pipeline: two single monomials, mostly 1 x 1
-            ((m1, (a, b)),) = self.d.items()
-            ((m2, (c, e)),) = other.d.items()
+            # the common case in the pipeline: two single monomials, mostly 1 x 1;
+            # a product of nonzero Gaussian integers is nonzero
+            ((m1, (a, b, p)),) = self.d.items()
+            ((m2, (c, e, q)),) = other.d.items()
             m = m2 if m1 == MONO_ONE else m1 if m2 == MONO_ONE else _mono_mul(m1, m2)
-            if b == 0 and e == 0:
-                re, im = a * c, _ZERO
-            else:
-                re, im = a * c - b * e, a * e + b * c
-            return Coeff({m: (re, im)}) if re or im else Coeff()
-        out: Dict[Mono, Tuple[Fraction, Fraction]] = {}
-        for m1, (a, b) in self.d.items():
-            for m2, (c, e) in other.d.items():
-                m = _mono_mul(m1, m2)
-                re, im = a * c - b * e, a * e + b * c
-                r0, i0 = out.get(m, (_ZERO, _ZERO))
-                r, i = r0 + re, i0 + im
-                if r == 0 and i == 0:
-                    out.pop(m, None)
-                else:
-                    out[m] = (r, i)
+            re, im, den = a * c - b * e, a * e + b * c, p * q
+            if den != 1:
+                g = _gcd(re, im, den)
+                if g != 1:
+                    re, im, den = re // g, im // g, den // g
+            return Coeff({m: (re, im, den)})
+        out: Dict[Mono, Part] = {}
+        for m1, (a, b, p) in self.d.items():
+            for m2, (c, e, q) in other.d.items():
+                _add_part(out, _mono_mul(m1, m2), _reduced(a * c - b * e, a * e + b * c, p * q))
         return Coeff(out)
 
     def scale(self, re=1, im=0) -> "Coeff":
-        if im == 0 and re in (1, -1):
-            return self if re == 1 else -self
-        return self * Coeff.complex_rat(re, im)
+        """The coefficient times re + i im.  An integer factor multiplies the
+        numerators and builds no intermediate coefficient."""
+        if im or not isinstance(re, int):
+            return self * Coeff.complex_rat(re, im)
+        if re == 1:
+            return self
+        if re == -1:
+            return -self
+        if re == 0:
+            return Coeff()
+        out: Dict[Mono, Part] = {}
+        for m, (a, b, den) in self.d.items():
+            # gcd(a, b, den) == 1, so gcd(re a, re b, den) == gcd(re, den)
+            g = _gcd(re, den)
+            n = re // g
+            out[m] = (a * n, b * n, den // g)
+        return Coeff(out)
 
     def conj(self) -> "Coeff":
-        return Coeff({m: (re, -im) for m, (re, im) in self.d.items()})
+        return Coeff({m: (a, -b, den) for m, (a, b, den) in self.d.items()})
 
     @property
     def is_zero(self) -> bool:
@@ -173,7 +231,7 @@ class Coeff:
 
         kappa, p, xi0 = sp.symbols("kappa p xi0", positive=True)
         total = sp.Integer(0)
-        for (ek, ep, ex, mus), (re, im) in self.d.items():
+        for (ek, ep, ex, mus), (re, im) in self.parts().items():
             c = sp.Rational(re.numerator, re.denominator) + sp.I * sp.Rational(im.numerator, im.denominator)
             c *= kappa**ek * p**ep * xi0**ex
             for k, e in mus:
@@ -182,23 +240,28 @@ class Coeff:
         return total
 
     def subs_mu(self, value) -> "Coeff":
-        """Exact substitution of ``value(k)`` for every loop scale mu_k.
-        A coefficient without mu_k monomials is returned as it is, and
-        ``value`` is only asked for the scales that occur."""
+        """Exact substitution of ``value(k)`` (an int or a Fraction) for every
+        loop scale mu_k.  A coefficient without mu_k monomials is returned as
+        it is, and ``value`` is only asked for the scales that occur."""
         if not self.has_mu:
             return self
-        out = Coeff()
-        for (ek, ep, ex, mus), (re, im) in self.d.items():
-            s = math.prod(value(k) ** e for k, e in mus)
-            out = out + Coeff({(ek, ep, ex, ()): (re * s, im * s)})
-        return out
+        out: Dict[Mono, Part] = {}
+        for (ek, ep, ex, mus), (a, b, den) in self.d.items():
+            num = 1
+            for k, e in mus:
+                vn, vd = _ratio(value(k))
+                num *= vn ** e
+                den *= vd ** e
+            if num:
+                _add_part(out, (ek, ep, ex, ()), _reduced(a * num, b * num, den))
+        return Coeff(out)
 
     def subs_numeric(self, kappa=1.0, p=0.0, xi0=1.0) -> complex:
         total = 0j
-        for (ek, ep, ex, mus), (re, im) in self.d.items():
+        for (ek, ep, ex, mus), (a, b, den) in self.d.items():
             if mus:
                 raise ValueError("loop scales are substituted before numeric evaluation")
-            v = complex(re) + 1j * complex(im)
+            v = complex(a / den, b / den)
             v *= complex(kappa) ** ek * complex(p) ** ep * complex(xi0) ** ex
             total += v
         return total
@@ -206,7 +269,8 @@ class Coeff:
     def __repr__(self):
         """The monomials in sorted order, each as its scalar times powers of
         kappa, p, xi0 and the mu_k, e.g. ``Coeff(-3*I + 1/2*kappa*mu2)``."""
-        return f"Coeff({' + '.join(_mono_str(m, *self.d[m]) for m in sorted(self.d)) or '0'})"
+        parts = self.parts()
+        return f"Coeff({' + '.join(_mono_str(m, *parts[m]) for m in sorted(parts)) or '0'})"
 
 
 def _mono_str(mono: Mono, re: Fraction, im: Fraction) -> str:
@@ -367,7 +431,7 @@ class Expression:
         terms = []
         for t in self.terms:
             coeff = [[list(m[:3]), [list(x) for x in m[3]], rat(re), rat(im)]
-                     for m, (re, im) in sorted(t.coeff.d.items())]
+                     for m, (re, im) in sorted(t.coeff.parts().items())]
             terms.append({
                 "coeff": coeff,
                 "deltas": [list(x) for x in t.deltas],
@@ -382,13 +446,20 @@ class Expression:
 
     @classmethod
     def from_json(cls, text: str) -> "Expression":
+        """Read what :meth:`to_json` writes.  A coefficient part that is zero
+        or a monomial listed twice in one coefficient raises ``ValueError``."""
         data = json.loads(text)
         terms = []
         for t in data["terms"]:
             d = {}
             for base, mus, re, im in t["coeff"]:
                 mono = (base[0], base[1], base[2], tuple((int(k), int(e)) for k, e in mus))
-                d[mono] = (Fraction(re), Fraction(im))
+                part = _part(re, im)
+                if part is None:
+                    raise ValueError(f"coefficient part of monomial {mono} is zero")
+                if mono in d:
+                    raise ValueError(f"monomial {mono} appears twice in one coefficient")
+                d[mono] = part
             terms.append(Term(
                 Coeff(d),
                 tuple(tuple(x) for x in t["deltas"]),

@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 from fractions import Fraction
 
@@ -41,11 +42,11 @@ def test_coeff_ring():
     assert (a + b).is_zero
     c = Coeff.unit(mu={2: 1}, re=Fraction(1, 2))
     prod = a * c
-    assert list(prod.d) == [(1, 0, 0, ((2, 1),))]
-    assert prod.d[(1, 0, 0, ((2, 1),))] == (Fraction(0), Fraction(2))
-    assert (a * b).d[(2, 0, 0, ())] == (Fraction(16), Fraction(0))
+    assert list(prod.parts()) == [(1, 0, 0, ((2, 1),))]
+    assert prod.parts()[(1, 0, 0, ((2, 1),))] == (Fraction(0), Fraction(2))
+    assert (a * b).parts()[(2, 0, 0, ())] == (Fraction(16), Fraction(0))
     assert Coeff.unit(mu={2: 0}) == Coeff.one()
-    assert a.conj().d[(1, 0, 0, ())] == (Fraction(0), Fraction(-4))
+    assert a.conj().parts()[(1, 0, 0, ())] == (Fraction(0), Fraction(-4))
 
 
 def test_coeff_repr_is_sorted_and_sympy_free(fresh_python):
@@ -61,8 +62,9 @@ def test_coeff_repr_is_sorted_and_sympy_free(fresh_python):
 
 
 # small pools, so that monomials and parts collide and sums and products cancel
+# 1/3 and -5/9 stand for the non-dyadic loop scales a scheme substitutes
 _FRACS = st.sampled_from([Fraction(0), Fraction(1), Fraction(-1), Fraction(2),
-                          Fraction(1, 2), Fraction(-3, 4)])
+                          Fraction(1, 2), Fraction(-3, 4), Fraction(1, 3), Fraction(-5, 9)])
 _UNITS = st.builds(lambda kappa, mu, re, im: Coeff.unit(kappa=kappa, mu=mu, re=re, im=im),
                    st.integers(0, 2), st.dictionaries(st.sampled_from((2, 3)), st.integers(1, 2),
                                                       max_size=2),
@@ -82,12 +84,16 @@ def _coeffs(draw):
 
 def _check_exact(c: Coeff, want) -> None:
     assert sp.expand(c.to_sympy() - want) == 0
-    for re, im in c.d.values():
+    for re, im in c.parts().values():
         assert type(re) is Fraction and type(im) is Fraction and (re or im)
+    for a, b, den in c.d.values():
+        assert all(type(x) is int for x in (a, b, den))
+        assert den > 0 and math.gcd(a, b, den) == 1 and (a or b)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(_coeffs(), _coeffs(), st.sampled_from([(1, 0), (-1, 0), (2, 0), (Fraction(1, 2), 0), (0, 1)]))
+@given(_coeffs(), _coeffs(),
+       st.sampled_from([(1, 0), (-1, 0), (2, 0), (3, 0), (Fraction(1, 2), 0), (0, 1)]))
 def test_coeff_arithmetic_is_exact(a, b, s):
     before_a, before_b = dict(a.d), dict(b.d)
     _check_exact(a * b, sp.expand(a.to_sympy() * b.to_sympy()))
@@ -107,6 +113,33 @@ def test_loop_scale_substitution():
     assert plain.subs_mu(None) is plain
     with pytest.raises(ValueError):
         c.subs_numeric()
+
+
+def test_non_dyadic_loop_scale_serializes_like_fractions():
+    c = (Coeff.unit(kappa=1, mu={2: 1}, re=Fraction(1, 2))
+         + Coeff.unit(mu={3: 2}, re=0, im=Fraction(-3, 4)))
+    got = c.subs_mu({2: Fraction(7, 3), 3: Fraction(-5, 9)}.get)
+    want_im = Fraction(-3, 4) * Fraction(-5, 9) ** 2
+    want = [[[0, 0, 0], [], "0", f"{want_im.numerator}/{want_im.denominator}"],
+            [[1, 0, 0], [], "7/6", "0"]]
+    assert json.loads(expr([Term(got)]).to_json())["terms"][0]["coeff"] == want
+
+
+def _json_with_parts(*parts):
+    t = {"coeff": [[[0, 0, 0], [], re, im] for re, im in parts],
+         "deltas": [], "smooth": [], "exps": [], "dmarks": []}
+    return json.dumps({"realization": None, "radii": {}, "terms": [t]})
+
+
+def test_from_json_rejects_a_zero_part():
+    assert Expression.from_json(_json_with_parts(("1", "0"))).terms[0].coeff == Coeff.one()
+    with pytest.raises(ValueError, match=r"\(0, 0, 0, \(\)\)"):
+        Expression.from_json(_json_with_parts(("0", "0")))
+
+
+def test_from_json_rejects_a_repeated_monomial():
+    with pytest.raises(ValueError, match=r"\(0, 0, 0, \(\)\)"):
+        Expression.from_json(_json_with_parts(("1", "0"), ("2", "0")))
 
 
 def test_merge_of_identical_structures():

@@ -10,6 +10,8 @@ the acceptance suite relies on.
 import itertools
 from fractions import Fraction
 
+import pytest
+
 from loopcorr.algebra import CURRENT_CHARGE, CURRENTS_A, CURRENTS_K, SectorConfig
 from loopcorr.distributions import Coeff, canonicalize, smear
 from loopcorr.kernels import XiSequence
@@ -29,6 +31,8 @@ from loopcorr.verify import (
 
 K = SectorConfig(realization="K", sector="nonunitary")
 A = SectorConfig(realization="A", sector="nonunitary")
+KU = SectorConfig(realization="K", sector="unitary")
+AU = SectorConfig(realization="A", sector="unitary")
 DROP_K = RenormScheme.drop_loops(K)
 DROP_A = RenormScheme.drop_loops(A)
 MU_K = RenormScheme.mu_family(K, entries={2: 1, 3: Fraction(1, 2)})
@@ -120,6 +124,42 @@ def test_hermiticity_residuals_vanish():
     ):
         residual = check_hermiticity(CurrentWord.from_names(names), scheme)
         assert residual.terms == []
+
+
+def _unitary_schemes(cfg):
+    """drop-loops, a mu family, and the dotted scheme under each rule with
+    the same scales."""
+    scales = {2: 1, 3: Fraction(1, 2)}
+    return (RenormScheme.drop_loops(cfg),
+            RenormScheme.mu_family(cfg, entries=scales, default=0),
+            RenormScheme.unitary_dotted(cfg, entries=scales, default=0),
+            RenormScheme.unitary_dotted(cfg, entries=scales, default=0,
+                                        dotted_rule="either-side"))
+
+
+@pytest.mark.parametrize("cfg", [KU, AU], ids=["KU", "AU"])
+def test_unitary_relations_hold_in_short_contexts(cfg):
+    # the unitary sector adds the dotted pairing D, and in A the zero-mode
+    # constant 1/(2 xi0), to every a/b crossing
+    for scheme in _unitary_schemes(cfg):
+        report = check_affine_relations(scheme, max_context=1)
+        assert len(report.cases) == 63
+        assert report.all_ok, [line for line in report.lines() if "FAIL" in line][:5]
+
+
+@pytest.mark.parametrize("cfg", [KU, AU], ids=["KU", "AU"])
+def test_unitary_pairing_is_hermitian(cfg):
+    currents = CURRENTS_K if cfg.realization == "K" else CURRENTS_A
+    dotted = 0   # words whose correlator carries the D pairing
+    for scheme in _unitary_schemes(cfg)[1:]:
+        for length in range(1, 4):
+            for names in itertools.product(currents, repeat=length):
+                word = CurrentWord.from_names(names)
+                residual = check_hermiticity(word, scheme)
+                assert residual.terms == [], (scheme.policy, scheme.dotted_rule, names)
+                dotted += any(f == "D" for t in evaluate_correlator(word, scheme).terms
+                              for f, *_ in t.smooth)
+    assert dotted
 
 
 def test_hermiticity_of_smeared_numbers():
