@@ -28,15 +28,12 @@ single-mode (classical) analogues with a symbolic central parameter.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .distributions import Coeff, orient
 from .errors import RealizationMismatch
-
-logger = logging.getLogger(__name__)
 
 HALF = Fraction(1, 2)
 

@@ -27,8 +27,6 @@ from .errors import LoopcorrError, ParseError, RealizationMismatch
 from .kernels import CirclePoint, XiSequence, _as_fraction
 from .renorm import CurrentWord, RenormScheme, evaluate_correlator
 
-logger = logging.getLogger(__name__)
-
 _SYMBOLS = {"J3": "J3", "Jp": "J+", "Jm": "J-", "E": "E", "F": "F", "H": "H"}
 _RENDER = {v: k for k, v in _SYMBOLS.items()}
 # primitive letters accepted by the oracle subcommand

@@ -32,7 +32,6 @@ checking and exact-zero verification reduce to syntactic comparison.
 from __future__ import annotations
 
 import json
-import logging
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -42,8 +41,6 @@ import numpy as np
 
 from .errors import SingularProduct, StructuralViolation
 from .kernels import XiSequence, mode_series
-
-logger = logging.getLogger(__name__)
 
 # ---------------------------------------------------------------------------
 # coefficients: exact complex polynomials in kappa, p, xi0, mu_k
@@ -399,8 +396,9 @@ class Expression:
     def radius(self, idx: int):
         return self.radii.get(idx, 1)
 
-    def on_circle(self, idx: int) -> bool:
-        return self.radius(idx) == 1
+    def off_circle(self) -> frozenset:
+        """The indices inside the disc (radius != 1)."""
+        return frozenset(i for i, r in self.radii.items() if r != 1)
 
     # -- algebra ----------------------------------------------------------
 
@@ -564,93 +562,70 @@ class UnionFind:
         del self.p[root]
 
 
-def detect_singular(expr: Expression) -> List[dict]:
-    """List singular patterns: on-circle delta factors that repeat a pair or
-    close a cycle (delta^2-type divergences).  Empty list means every term
-    is a well-defined distribution."""
-    reports = []
-    for n, t in enumerate(expr.terms):
-        uf = UnionFind()
-        seen_pairs = set()
-        for (i, j, k) in t.deltas:
-            if not (expr.on_circle(i) and expr.on_circle(j)):
-                continue
-            if (i, j) in seen_pairs:
-                reports.append({"term": n, "kind": "repeated-pair", "pair": (i, j)})
-                continue
-            seen_pairs.add((i, j))
-            if uf.union(i, j) is None:
-                reports.append({"term": n, "kind": "cycle", "pair": (i, j)})
-    return reports
-
-
-_ONE = Coeff.one()
+def detect_singular(expr: Expression) -> List[int]:
+    """The indices of the terms whose on-circle deltas do not form a forest
+    (a repeated pair or a cycle: delta^2-type divergences), by the rule of
+    :func:`_delta_forest`.  An empty list means every term is a
+    well-defined distribution."""
+    off = expr.off_circle()
+    return [n for n, t in enumerate(expr.terms) if _delta_forest(t, off) is None]
 
 
 def canonicalize(expr: Expression) -> Expression:
     """Rewrite to canonical form.  A term that stays divergent on the circle
-    raises (see :func:`_rewrite`)."""
-    terms = _pass_once(list(expr.terms), expr.on_circle, expr.realization)
-    return Expression(terms, expr.realization, dict(expr.radii))
+    raises (see :func:`_rewrite`).
 
-
-def _pass_once(terms: List[Term], on_circle, realization) -> List[Term]:
-    """Rewrite every term until it is finished.  Each rewrite multiplies the
-    coefficient by an integer, so what a term rewrites to depends on its
-    structure (``Term.key()``) alone, with coefficients linear in its own:
-    the worklist holds one entry per structure, level by level, and each
-    entry is rewritten once with the sum of the coefficients that reached it.
-
-    An entry is live when a nonzero coefficient reached it.  A live entry
-    whose coefficients cancel is still rewritten (with a unit coefficient,
-    passing zero on), so that it raises the errors each of its terms would
-    raise; entries no nonzero coefficient reached are skipped.
+    Each rewrite multiplies the coefficient by an integer, so what a term
+    rewrites to depends on its structure (``Term.key()``) alone, with
+    coefficients linear in its own: the worklist holds one entry per
+    structure, level by level, and each entry is rewritten once with the sum
+    of the coefficients that reached it.  A term that enters with a zero
+    coefficient is dropped; a sum that cancels is still rewritten, so that
+    it raises the errors each of its terms would raise.
 
     One pass is all it takes: every term emitted comes from the finished
     branch of :func:`_rewrite`, where no rule applies, and merging equal
     structures only adds coefficients, so the result is a fixed point."""
+    off, realization = expr.off_circle(), expr.realization
     out: List[Term] = []
     level: Dict[tuple, list] = {}
-    for t in terms:
-        _gather(level, t, t.coeff, not t.coeff.is_zero)
+    for t in expr.terms:
+        if not t.coeff.is_zero:
+            _gather(level, t)
     while level:
         nxt: Dict[tuple, list] = {}
-        for t, coeff, live in level.values():
-            if not live:
-                continue
-            cancelled = coeff.is_zero
-            if cancelled:
-                t = t._replace(coeff=_ONE)
-            elif coeff is not t.coeff:
+        for t, coeff in level.values():
+            if coeff is not t.coeff:
                 t = t._replace(coeff=coeff)
-            done, successors = _rewrite(t, on_circle, realization)
-            if done is not None and not cancelled:
+            done, successors = _rewrite(t, off, realization)
+            if done is not None:
                 out.append(done)
             for s in successors:
-                _gather(nxt, s, Coeff() if cancelled else s.coeff, not s.coeff.is_zero)
+                _gather(nxt, s)
         level = nxt
     # merge identical structures
     merged: Dict[tuple, list] = {}
     for t in out:
-        _gather(merged, t, t.coeff, True)
-    return [t._replace(coeff=coeff) for _k, (t, coeff, _live) in sorted(merged.items())
-            if not coeff.is_zero]
+        _gather(merged, t)
+    terms = [t._replace(coeff=coeff) for _k, (t, coeff) in sorted(merged.items())
+             if not coeff.is_zero]
+    return Expression(terms, realization, dict(expr.radii))
 
 
-def _gather(level: Dict[tuple, list], t: Term, coeff: Coeff, live: bool) -> None:
-    """Add ``coeff`` to the entry [term, coefficient sum, live] of t's structure."""
+def _gather(level: Dict[tuple, list], t: Term) -> None:
+    """Add t's coefficient to the entry [term, coefficient sum] of its
+    structure."""
     k = t.key()
     entry = level.get(k)
     if entry is None:
-        level[k] = [t, coeff, live]
+        level[k] = [t, t.coeff]
     else:
-        entry[1] = entry[1] + coeff
-        entry[2] = entry[2] or live
+        entry[1] = entry[1] + t.coeff
 
 
-def _rewrite(t: Term, on_circle, realization) -> Tuple[Optional[Term], List[Term]]:
-    """One rewrite step of a term with a nonzero coefficient: (finished
-    term, []) when no rule applies, else (None, successors).
+def _rewrite(t: Term, off: frozenset, realization) -> Tuple[Optional[Term], List[Term]]:
+    """One rewrite step of a term whose indices in ``off`` are inside the
+    disc: (finished term, []) when no rule applies, else (None, successors).
 
     After pending derivatives, the K charge balance and the merging of
     exponential charges, one rule is left.  The on-circle deltas form a
@@ -672,7 +647,7 @@ def _rewrite(t: Term, on_circle, realization) -> Tuple[Optional[Term], List[Term
         return None, d_du(t._replace(dmarks=t.dmarks[1:]), t.dmarks[0], realization)
     if t.exps and charge_vanishes(realization, (c for _, c in t.exps)):
         return None, []
-    forest = _delta_forest(t, on_circle)
+    forest = _delta_forest(t, off)
     if forest is None:
         raise SingularProduct(
             "delta-square pattern outside a loop-renormalization context: "
@@ -681,7 +656,7 @@ def _rewrite(t: Term, on_circle, realization) -> Tuple[Optional[Term], List[Term
     if any(i == j and k % 2 == 1 for (_f, k, i, j) in t.smooth):
         return None, []
     for (family, _k, i, j) in t.smooth:
-        if i == j and family in ("wavy", "D") and on_circle(i):
+        if i == j and family in ("wavy", "D") and i not in off:
             raise StructuralViolation(f"{family} factor closed onto on-circle point {i}")
     for x, edge in forest:
         if _tokens_at(t, x, skip_delta=edge):
@@ -689,17 +664,18 @@ def _rewrite(t: Term, on_circle, realization) -> Tuple[Optional[Term], List[Term
     return t.sorted(), []
 
 
-def _delta_forest(t: Term, on_circle) -> Optional[List[Tuple[int, Tuple[int, int, int]]]]:
-    """The graph of the on-circle delta factors as BFS trees from the
-    smallest index of each component: (node, delta to its parent) for every
-    non-root node, components in the order of their roots, within a
-    component deepest first and ties by the larger index.  None when the
-    graph is not a forest (a repeated pair or a cycle: delta^2-type)."""
+def _delta_forest(t: Term, off: frozenset) -> Optional[List[Tuple[int, Tuple[int, int, int]]]]:
+    """The graph of the on-circle delta factors (both ends outside ``off``)
+    as BFS trees from the smallest index of each component: (node, delta to
+    its parent) for every non-root node, components in the order of their
+    roots, within a component deepest first and ties by the larger index.
+    None when the graph is not a forest (a repeated pair or a cycle:
+    delta^2-type)."""
     adj: Dict[int, List[Tuple[int, Tuple[int, int, int]]]] = {}
     edges = 0
     for tok in t.deltas:
         (i, j, _k) = tok
-        if on_circle(i) and on_circle(j):
+        if i not in off and j not in off:
             adj.setdefault(i, []).append((j, tok))
             adj.setdefault(j, []).append((i, tok))
             edges += 1
@@ -777,16 +753,13 @@ def _move_leaf(term: Term, x: int, edge: Tuple[int, int, int], realization) -> L
     p = j if x == i else i
     base = term._replace(deltas=tuple(tok for tok in term.deltas if tok != edge))
     mapping = {x: p}
-    if k == 0:
-        moved = base.relabel(mapping)
-        return [moved._replace(deltas=tuple(sorted(moved.deltas + (edge,))))]
     deriv_end = x == i
     out: List[Term] = []
     layer: List[Term] = [base]
     for l in range(0, k + 1):
         c = math.comb(k, l) * ((-1) ** l if deriv_end else 1)
         for tt in layer:
-            moved = tt._replace(coeff=tt.coeff.scale(c)).relabel(mapping)
+            moved = (tt if c == 1 else tt._replace(coeff=tt.coeff.scale(c))).relabel(mapping)
             residual = (i, j, k - l)
             out.append(moved._replace(deltas=tuple(sorted(moved.deltas + (residual,)))))
         if l < k:
@@ -813,7 +786,7 @@ def _modes_conv(a: Dict[int, complex], b: Dict[int, complex]) -> Dict[int, compl
 def _modes_deriv(f: Dict[int, complex], k: int) -> Dict[int, complex]:
     if k == 0:
         return dict(f)
-    return {m: c * (1j * m) ** k for m, c in f.items() if m != 0 or k == 0}
+    return {m: c * (1j * m) ** k for m, c in f.items() if m != 0}
 
 
 def smear(expr: Expression, tests: Dict[int, Dict[int, complex]], seq: XiSequence,
@@ -840,6 +813,7 @@ def smear(expr: Expression, tests: Dict[int, Dict[int, complex]], seq: XiSequenc
         raise ValueError(f"smear needs grid >= 1 and trunc >= 0, "
                          f"got grid={grid}, trunc={trunc}")
     e = canonicalize(expr)
+    off = e.off_circle()
     missing = set()
     for t in e.terms:
         missing |= t.indices() - set(tests)
@@ -874,7 +848,7 @@ def smear(expr: Expression, tests: Dict[int, Dict[int, complex]], seq: XiSequenc
         members: Dict[int, Tuple[int, int]] = {}
         analytic_deltas = []
         for (i, j, k) in t.deltas:
-            if e.on_circle(i) and e.on_circle(j):
+            if i not in off and j not in off:
                 if j in members:
                     raise AssertionError("canonical form should be a star")
                 members[j] = (i, k)

@@ -201,14 +201,14 @@ class _ReadOnlyTerms(list):
     __setitem__ = __delitem__ = __iadd__ = __imul__ = _refuse
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=1024)
 def symbolic_correlator(word: CurrentWord, cfg: SectorConfig,
                         rule: Optional[str]) -> Expression:
     """Renormalized correlator of a current word with every loop scale left
     as the symbol mu_k: enumerate contractions, filter dotted edges (when a
     dotted ``rule`` is given), substitute loops, canonicalize.  Cached per
-    (word, sector, rule); the term list, the radii and every coefficient's
-    monomial map are read-only."""
+    (word, sector, rule), at most 1024 of them; the term list, the radii and
+    every coefficient's monomial map are read-only."""
     radii = {i: r for i, r in enumerate(word.radii) if r != 1}
     if rule is not None:
         logger.info("dotted filter active, rule=%s", rule)
@@ -224,18 +224,14 @@ def symbolic_correlator(word: CurrentWord, cfg: SectorConfig,
     return Expression(_ReadOnlyTerms(terms), cfg.realization, MappingProxyType(expr.radii))
 
 
-_CACHE: Dict[Tuple[CurrentWord, RenormScheme], Expression] = {}
-
-
+@functools.lru_cache(maxsize=4096)
 def evaluate_correlator(word: CurrentWord, scheme: RenormScheme) -> Expression:
     """Renormalized correlator of a current word under a scheme: the
     symbolic correlator of the word, sector and dotted rule with the
     scheme's loop scales substituted, and the terms that vanish dropped.
     Raises :class:`MissingMu` for a scale that survives canonicalization
-    and has no value.  Results are cached per (word, scheme) and read-only."""
-    key = (word, scheme)
-    if key in _CACHE:
-        return _CACHE[key]
+    and has no value.  Results are cached per (word, scheme), at most 4096
+    of them, and read-only."""
     rule = scheme.dotted_rule if scheme.policy == "unitary-dotted" else None
     sym = symbolic_correlator(word, scheme.sector, rule)
     terms = []
@@ -245,5 +241,4 @@ def evaluate_correlator(word: CurrentWord, scheme: RenormScheme) -> Expression:
             terms.append(t)
         elif not coeff.is_zero:
             terms.append(t._replace(coeff=Coeff(MappingProxyType(coeff.d))))
-    expr = _CACHE[key] = Expression(_ReadOnlyTerms(terms), sym.realization, sym.radii)
-    return expr
+    return Expression(_ReadOnlyTerms(terms), sym.realization, sym.radii)

@@ -229,6 +229,28 @@ def test_repeated_pair_is_singular():
         canonicalize(expr([t]))
 
 
+def test_detect_singular_lists_what_canonicalize_refuses():
+    cycle = ((1, 2, 0), (1, 3, 0), (2, 3, 0))
+    cases = [
+        (((1, 2, 0), (1, 2, 0)), {}, True),                   # repeated pair
+        (cycle, {}, True),                                    # 3-cycle
+        (((1, 2, 1), (1, 3, 2), (2, 3, 1)), {}, True),        # 3-cycle of derivative deltas
+        (((1, 2, 0), (2, 3, 1), (3, 4, 0)), {}, False),       # tree
+        (cycle, {i: Fraction(1, 2) for i in (1, 2, 3)}, False),  # cycle inside the disc
+    ]
+    for deltas, radii, singular in cases:
+        e = expr([term(1, deltas=deltas)], radii=radii)
+        assert detect_singular(e) == ([0] if singular else []), deltas
+        if singular:
+            with pytest.raises(SingularProduct):
+                canonicalize(e)
+        else:
+            canonicalize(e)
+    # the report lists term indices
+    on_circle = expr([term(1, deltas=d) for d, radii, _s in cases if not radii])
+    assert detect_singular(on_circle) == [0, 1, 2]
+
+
 def test_union_find_joins_and_undoes():
     uf = UnionFind()
     assert uf.union(3, 1) == 3

@@ -145,6 +145,12 @@ def test_unitary_relations_hold_in_short_contexts(cfg):
         report = check_affine_relations(scheme, max_context=1)
         assert len(report.cases) == 63
         assert report.all_ok, [line for line in report.lines() if "FAIL" in line][:5]
+    if cfg.realization == "K":
+        # in K both dotted rules also hold at contexts of length <= 2
+        for scheme in _unitary_schemes(cfg)[2:]:
+            report = check_affine_relations(scheme, max_context=2)
+            assert len(report.cases) == 306
+            assert report.all_ok, [line for line in report.lines() if "FAIL" in line][:5]
 
 
 @pytest.mark.parametrize("cfg", [KU, AU], ids=["KU", "AU"])

@@ -168,6 +168,12 @@ def test_cached_terms_are_read_only():
     assert len(again.terms) == 5 and again.to_json() == before
 
 
+def test_correlator_caches_are_bounded():
+    for cache in (renorm.symbolic_correlator, renorm.evaluate_correlator):
+        maxsize = cache.cache_info().maxsize
+        assert maxsize is not None and maxsize > 0, cache
+
+
 def _hand_diagram(charges, solid, dotted):
     choices = tuple(VertexChoice(i, "J+", Coeff.unit(), charge=q)
                     for i, q in enumerate(charges))
