@@ -10,11 +10,13 @@ unit circle and x = z1 conj(z2), y = conj(z1) z2, the kernels are
     D(z1, z2)   =          sum_{n>0} xi_n^{-1} (x^n + y^n)
 
 and a pair of Heisenberg insertions contributes 2 kappa sum_{n>0} n x^n.
-:func:`mode_series` is the one evaluator of these sums: truncated at a
-mode N, with k angle derivatives in the first point.  On the circle
-(r = 1) the N-kernels are the cosine series 2 sum xi_n cos n(u - v); D
-generally diverges there and the engine keeps it only as a formal mode
-multiplier.
+:func:`series_coefficients` holds the one rule from xi_n to the n-th
+coefficient of each of these sums; it builds a table once per (family,
+sequence, N) and caches it.  :func:`mode_series` is the one evaluator of
+the sums: truncated at a mode N, with k angle derivatives in the first
+point.  On the circle (r = 1) the N-kernels are the cosine series
+2 sum xi_n cos n(u - v); D generally diverges there and the engine keeps
+it only as a formal mode multiplier.
 
 Three sequence families are supported:
 
@@ -31,6 +33,7 @@ only, so float evaluation and the engine never load it.
 from __future__ import annotations
 
 import cmath
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -168,58 +171,29 @@ class XiSequence:
 
     # -- values ------------------------------------------------------------
 
-    def xi(self, n: int) -> Fraction:
-        """xi_|n| (n = 0 gives xi_0)."""
+    def xi_value(self, n: int):
+        """xi_|n| (n = 0 gives xi_0): a Fraction, or a float for a
+        non-integer power-law exponent, where n**(-s) is irrational."""
         n = abs(n)
         if n == 0:
             return self.xi0
         if self.kind == "geometric":
             return self.q**n
         if self.kind == "power-law":
-            if not self._s_int():
-                raise ValueError("xi_n is irrational for non-integer power-law exponent; use xi_value")
+            if self.s != int(self.s):
+                return float(n) ** (-float(self.s))
             return Fraction(1, n ** int(self.s))
-        if self.kind == "explicit":
-            m = len(self.head)
-            if n <= m:
-                return self.head[n - 1]
-            return self.head[-1] * self.tail_ratio ** (n - m)
-        raise AssertionError
-
-    def _s_int(self) -> bool:
-        return isinstance(self.s, (int, Fraction)) and Fraction(self.s).denominator == 1
-
-    def xi_value(self, n: int):
-        """Like :meth:`xi` but falls back to float for non-integer power-law
-        exponents (where n**(-s) is irrational)."""
-        n = abs(n)
-        if n == 0:
-            return self.xi0
-        if self.kind == "power-law" and not self._s_int():
-            return float(n) ** (-float(self.s))
-        return self.xi(n)
-
-    def xi_inv_value(self, n: int):
-        v = self.xi_value(n)
-        return Fraction(1) / v if isinstance(v, (int, Fraction)) else 1.0 / v
+        m = len(self.head)
+        if n <= m:
+            return self.head[n - 1]
+        return self.head[-1] * self.tail_ratio ** (n - m)
 
 
-def _exact_number(v):
-    if isinstance(v, float):
-        raise ValueError("irrational mode coefficient in exact arithmetic")
-    import sympy as sp
-
-    return sp.Rational(v.numerator, v.denominator)
-
-
-def mode_series(x, y, k: int, family: str, seq: Optional[XiSequence], N: int,
-                exact: bool = False):
-    """The truncated mode series
-
-        c0 [k = 0] + sum_{n=1..N} c(n) [ (i n)^k x^n + (-i n)^k y^n ]
-
-    of a coefficient family.  For a pair of points, x = z1 conj(z2),
-    y = conj(z1) z2, and k counts the angle derivatives in the first point.
+@functools.lru_cache(maxsize=256)
+def series_coefficients(family: str, seq: Optional[XiSequence], N: int,
+                        exact: bool = False) -> tuple:
+    """The coefficients (c0, c(1), ..., c(N)) of a mode-series family, as
+    floats, or as sympy Rationals with ``exact``:
 
     ==========  ==========  ==========
     family      c(n)        c0
@@ -231,31 +205,57 @@ def mode_series(x, y, k: int, family: str, seq: Optional[XiSequence], N: int,
     ``delta``   1           1
     ==========  ==========  ==========
 
-    ``delta`` is the regulated delta sum_{n>=0} x^n + sum_{n>=1} y^n.
-    ``x`` and ``y`` may be complex scalars, numpy grids or sympy
-    expressions; with ``exact`` the unit i and the coefficients are exact
-    sympy numbers too, otherwise floats.
+    ``seq`` is read by the xi families only.  Raises ``ValueError`` for an
+    unknown family, and for an exact table with an irrational coefficient
+    (a non-integer power law).
     """
     if family == "delta":
         c, c0 = (lambda n: 1), 1
     elif family == "wavy":
         c, c0 = (lambda n: n), 0
     elif family == "D":
-        c, c0 = seq.xi_inv_value, 0
+        c, c0 = (lambda n: 1 / seq.xi_value(n)), 0
     elif family in ("NK", "NA"):
         c, c0 = seq.xi_value, (2 * seq.xi0 if family == "NA" else 0)
     else:
         raise ValueError(f"unknown mode-series family {family!r}")
+    values = [c0] + [c(n) for n in range(1, N + 1)]
+    if not exact:
+        return tuple(float(v) for v in values)
+    if any(isinstance(v, float) for v in values):
+        raise ValueError(f"xi_n = n^(-{seq.s}) is irrational: a power law with a "
+                         "non-integer exponent has no exact mode series")
+    import sympy as sp
+
+    return tuple(sp.Rational(v.numerator, v.denominator) for v in values)
+
+
+def mode_series(x, y, k: int, family: str, seq: Optional[XiSequence], N: int,
+                exact: bool = False):
+    """The truncated mode series
+
+        c0 [k = 0] + sum_{n=1..N} c(n) [ (i n)^k x^n + (-i n)^k y^n ]
+
+    of a coefficient family, with the coefficients of
+    :func:`series_coefficients`.  For a pair of points, x = z1 conj(z2),
+    y = conj(z1) z2, and k counts the angle derivatives in the first point.
+
+    ``delta`` is the regulated delta sum_{n>=0} x^n + sum_{n>=1} y^n.
+    ``x`` and ``y`` may be complex scalars, numpy grids or sympy
+    expressions; with ``exact`` the unit i and the coefficients are exact
+    sympy numbers too, otherwise floats.
+    """
+    c = series_coefficients(family, seq, N, exact)
     if exact:
         import sympy as sp
 
-        num, i = _exact_number, sp.I
+        i = sp.I
     else:
-        num, i = float, 1j
-    total = num(c0 if k == 0 else 0)
+        i = 1j
+    total = c[0] if k == 0 else 0 * c[0]
     xp = yp = 1
     for n in range(1, N + 1):
         xp = xp * x
         yp = yp * y
-        total = total + num(c(n)) * ((i * n) ** k * xp + (-i * n) ** k * yp)
+        total = total + c[n] * ((i * n) ** k * xp + (-i * n) ** k * yp)
     return total

@@ -38,6 +38,8 @@ from .algebra import (
     CURRENT_STAR,
     CURRENTS_A,
     CURRENTS_K,
+    EXP_CHARGE,
+    HALF,
     K_LETTERS,
     SectorConfig,
     expand_current,
@@ -53,7 +55,7 @@ from .distributions import (
     smear,
 )
 from .errors import RealizationMismatch
-from .kernels import CirclePoint, XiSequence, mode_series
+from .kernels import CirclePoint, XiSequence, mode_series, series_coefficients
 from .renorm import CurrentWord, RenormScheme, evaluate_correlator
 
 logger = logging.getLogger(__name__)
@@ -102,12 +104,6 @@ def _one(exact: bool):
     return _rat(1, True) if exact else (1 + 0j)
 
 
-def _xi(seq: XiSequence, n: int, exact: bool):
-    if exact:
-        return _rat(seq.xi(n), True)
-    return float(seq.xi_value(n))
-
-
 def _xi0(seq: XiSequence, exact: bool):
     return _rat(seq.xi0, exact)
 
@@ -150,35 +146,29 @@ def _psi(z, m: int, exact: bool):
     return _conj(z, exact) ** (-m)
 
 
-def _cov_pair(v: Dict[int, object], w: Dict[int, object], seq: XiSequence,
-              include_zero: bool, exact: bool):
-    """<v, C w> = sum_m c_|m| v_m w_{-m} with c_0 = 2 xi_0 (A only)."""
+def _cov_pair(v: Dict[int, object], w: Dict[int, object], cov, exact: bool):
+    """<v, C w> = sum_m c_|m| v_m w_{-m}, with c the ``NK`` or ``NA`` table
+    of :func:`series_coefficients`."""
     total = _zero(exact)
     for m, vv in v.items():
         ww = w.get(-m)
         if ww is None:
             continue
-        if m == 0:
-            if not include_zero:
-                continue
-            c = 2 * _xi0(seq, exact)
-        else:
-            c = _xi(seq, abs(m), exact)
-        total = total + c * vv * ww
+        total = total + cov[abs(m)] * vv * ww
     return total
 
 
-def _factor_pairings(factors, gamma_total, seq, include_zero, exact):
+def _factor_pairings(factors, gamma_total, cov, exact):
     """Isserlis over linear factors with the tilt <F, C Gamma> for singles."""
     if not factors:
         return _one(exact)
     first, rest = factors[0], factors[1:]
-    total = _cov_pair(first, gamma_total, seq, include_zero, exact) * \
-        _factor_pairings(rest, gamma_total, seq, include_zero, exact)
+    total = _cov_pair(first, gamma_total, cov, exact) * \
+        _factor_pairings(rest, gamma_total, cov, exact)
     for idx in range(len(rest)):
-        pair = _cov_pair(first, rest[idx], seq, include_zero, exact)
+        pair = _cov_pair(first, rest[idx], cov, exact)
         total = total + pair * _factor_pairings(
-            rest[:idx] + rest[idx + 1:], gamma_total, seq, include_zero, exact)
+            rest[:idx] + rest[idx + 1:], gamma_total, cov, exact)
     return total
 
 
@@ -195,10 +185,6 @@ def _rho_pairings(zs, N, kappa, p, realization, exact):
         total = total + 2 * kappa * mode_series(x, 0, 0, "wavy", None, N, exact) * \
             _rho_pairings(rest[:idx] + rest[idx + 1:], N, kappa, p, realization, exact)
     return total
-
-
-_BASE_CHARGE = {"alpha+": 1, "alpha-": -1, "e+": 1, "e-": -1,
-                "dalpha+": 1, "dalpha-": -1, "de+": 1, "de-": -1}
 
 
 def _mode_eval(letters: Sequence[Tuple[str, int]], points: Mapping[int, CirclePoint],
@@ -238,20 +224,20 @@ def _mode_eval(letters: Sequence[Tuple[str, int]], points: Mapping[int, CirclePo
         else:
             raise ValueError(f"letter {name!r} cannot appear in a reduced word")
         if name in ("alpha+", "alpha-"):
-            eps = _BASE_CHARGE[name]
+            eps = EXP_CHARGE[name]
             gammas.append(gamma_of(z, i * eps))
             charge += eps
         elif name in ("e+", "e-"):
-            sig = _BASE_CHARGE[name]
+            sig = EXP_CHARGE[name]
             gammas.append(gamma_of(z, sig * _rat(1, exact)))
         elif name in ("dalpha+", "dalpha-"):
-            eps = _BASE_CHARGE[name]
+            eps = EXP_CHARGE[name]
             gammas.append(gamma_of(z, i * eps))
             charge += eps
             factors.append({m: -eps * m * _psi(z, m, exact)
                             for m in range(-N, N + 1) if m != 0})
         elif name in ("de+", "de-"):
-            sig = _BASE_CHARGE[name]
+            sig = EXP_CHARGE[name]
             gammas.append(gamma_of(z, sig * _rat(1, exact)))
             factors.append({m: i * sig * m * _psi(z, m, exact)
                             for m in range(-N, N + 1) if m != 0})
@@ -271,9 +257,10 @@ def _mode_eval(letters: Sequence[Tuple[str, int]], points: Mapping[int, CirclePo
         for m, v in g.items():
             gamma_total[m] = gamma_total.get(m, zero) + v
 
-    exp_arg = _cov_pair(gamma_total, gamma_total, seq, is_a, exact) / 2
+    cov = series_coefficients("NA" if is_a else "NK", seq, N, exact)
+    exp_arg = _cov_pair(gamma_total, gamma_total, cov, exact) / 2
     value = _exp(exp_arg, exact)
-    value = value * _factor_pairings(tuple(factors), gamma_total, seq, is_a, exact)
+    value = value * _factor_pairings(tuple(factors), gamma_total, cov, exact)
     value = value * _rho_pairings(tuple(rhos), N, kappa, p, cfg.realization, exact)
     return value
 
@@ -308,17 +295,17 @@ def _comm_value(right: str, z_ab, z_r, cfg: SectorConfig, seq: XiSequence,
     if right == "rho":
         return []
     if right in ("alpha+", "alpha-"):
-        eps = _BASE_CHARGE[right]
+        eps = EXP_CHARGE[right]
         return [(-eps * delta(0), (right,))]
     if right in ("e+", "e-"):
-        sig = _BASE_CHARGE[right]
+        sig = EXP_CHARGE[right]
         return [(i * sig * delta(0), (right,))]
     if right in ("dalpha+", "dalpha-"):
-        eps = _BASE_CHARGE[right]
+        eps = EXP_CHARGE[right]
         base = "alpha+" if eps > 0 else "alpha-"
         return [(eps * delta(1), (base,)), (-eps * delta(0), (right,))]
     if right in ("de+", "de-"):
-        sig = _BASE_CHARGE[right]
+        sig = EXP_CHARGE[right]
         base = "e+" if sig > 0 else "e-"
         return [(-i * sig * delta(1), (base,)), (i * sig * delta(0), (right,))]
     if right == "alpha-dalpha+":
@@ -339,7 +326,7 @@ def oracle_letters(word: Sequence[Tuple[str, int]], points: Mapping[int, CircleP
     rewriting terminates.
     """
     one = _one(exact)
-    half = _rat(Fraction(1, 2), exact)
+    half = _rat(HALF, exact)
     total = _zero(exact)
     stack: List[Tuple[object, Tuple[Tuple[str, int], ...]]] = [(one, tuple(word))]
     while stack:

@@ -2,6 +2,7 @@ import cmath
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 import sympy as sp
 
@@ -145,3 +146,38 @@ def test_mode_series_float_matches_exact(family, k):
 def test_from_config_rejects_malformed_configs(cfg):
     with pytest.raises(ValueError):
         XiSequence.from_config(cfg)
+
+
+def _reference_series(x, y, k, family, seq, N):
+    """The mode series summed inline, float(c(n)) in the order n = 1..N."""
+    c = {"NK": seq.xi_value, "NA": seq.xi_value, "D": lambda n: 1 / seq.xi_value(n),
+         "wavy": lambda n: n, "delta": lambda n: 1}[family]
+    c0 = {"NA": 2 * seq.xi0, "delta": 1}.get(family, 0)
+    total = float(c0 if k == 0 else 0)
+    xp = yp = 1
+    for n in range(1, N + 1):
+        xp = xp * x
+        yp = yp * y
+        total = total + float(c(n)) * ((1j * n) ** k * xp + (-1j * n) ** k * yp)
+    return total
+
+
+_TABLE_SEQUENCES = {
+    "geometric": XiSequence.geometric(Fraction(2, 3), xi0=Fraction(3, 4)),
+    "explicit": XiSequence.explicit([3, Fraction(1, 7)], Fraction(1, 4)),
+    "power-law-2": XiSequence.power_law(2),
+    "power-law-3/2": XiSequence.power_law(Fraction(3, 2)),
+}
+
+
+@pytest.mark.parametrize("seq", _TABLE_SEQUENCES.values(), ids=_TABLE_SEQUENCES.keys())
+@pytest.mark.parametrize("family", ["NK", "NA", "D", "wavy", "delta"])
+def test_mode_series_table_changes_no_float(family, seq):
+    # the cached coefficient table sums exactly what the inline loop sums
+    x, y = _pair(*_OFF)
+    theta = 2 * np.pi * np.arange(6) / 6
+    gx = 0.3 * np.exp(1j * np.subtract.outer(theta, theta))
+    for k in (0, 1, 2):
+        assert mode_series(x, y, k, family, seq, 14) == _reference_series(x, y, k, family, seq, 14)
+        got = mode_series(gx, np.conj(gx), k, family, seq, 14)
+        assert np.array_equal(got, _reference_series(gx, np.conj(gx), k, family, seq, 14))

@@ -259,40 +259,6 @@ def test_renormalized_value_matches_direct_substitution():
     assert abs(diff - want) < 1e-12
 
 
-@pytest.fixture
-def fractions_built(monkeypatch):
-    """fractions_built(f, *args) calls f and returns how many Fractions the
-    call built.  Fraction.__new__ is wrapped for the test and restored after
-    it, and so is the constructor that newer Pythons use to build a Fraction
-    without it."""
-    count = 0
-    new = Fraction.__new__
-
-    def counted_new(cls, *args, **kwargs):
-        nonlocal count
-        count += 1
-        return new(cls, *args, **kwargs)
-
-    monkeypatch.setattr(Fraction, "__new__", counted_new)
-    if "_from_coprime_ints" in vars(Fraction):
-        coprime = Fraction._from_coprime_ints.__func__
-
-        def counted_coprime(cls, numerator, denominator, /):
-            nonlocal count
-            count += 1
-            return coprime(cls, numerator, denominator)
-
-        monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(counted_coprime))
-
-    def run(f, *args):
-        nonlocal count
-        count = 0
-        f(*args)
-        return count
-
-    return run
-
-
 def test_pipeline_builds_no_fraction(fractions_built):
     # enumerate -> weight -> renormalize -> canonicalize stays on integer
     # coefficients; Fractions are met only at the boundary

@@ -16,9 +16,10 @@ import sympy as sp
 
 from loopcorr.algebra import SectorConfig
 from loopcorr.diagrams import correlator_expression
-from loopcorr.distributions import Coeff, Expression, Term, canonicalize
+from loopcorr.distributions import Coeff, Expression, Term, canonicalize, smear
 from loopcorr.errors import RealizationMismatch
-from loopcorr.kernels import CirclePoint, XiSequence
+from loopcorr.kernels import CirclePoint, XiSequence, mode_series
+from loopcorr.renorm import CurrentWord, RenormScheme, evaluate_correlator
 from loopcorr.verify import expression_value, gaussian_oracle, oracle_letters
 
 N = 12
@@ -292,3 +293,45 @@ def test_oracle_rejects_points_outside_the_disc():
     for r in (5, -1, Fraction(11, 10)):
         with pytest.raises(ValueError, match="radius"):
             gaussian_oracle(names, [CirclePoint(Fraction(1, 2), 0), CirclePoint(r, 0)], K, SEQ, trunc=4)
+
+
+def test_float_paths_build_no_fraction_after_warm_up(fractions_built):
+    # every mode coefficient comes from one cached table, so once it is
+    # built the float oracle, expression_value and smear stay on floats
+    half = Fraction(1, 2)
+    names = ("E", "F", "H")
+    points = [CirclePoint(half, Fraction(k, 5)) for k in range(3)]
+    expr = canonicalize(correlator_expression(names, AU, {k: half for k in range(3)}))
+    smeared = evaluate_correlator(CurrentWord.from_names(("J+", "J-", "J3")),
+                                  RenormScheme.drop_loops(K))
+    tests = {k: {m: complex(m + 1, k) for m in range(-2, 3)} for k in range(3)}
+    calls = {
+        "oracle": lambda: gaussian_oracle(names, points, AU, SEQ, trunc=8),
+        "expression_value": lambda: expression_value(expr, dict(enumerate(points)), SEQ,
+                                                     trunc=8),
+        "smear": lambda: smear(smeared, tests, SEQ, trunc=8, grid=16),
+    }
+    for name, call in calls.items():
+        call()
+        assert fractions_built(call) == 0, name
+
+
+def test_non_integer_power_law():
+    # xi_n = n^(-3/2) is irrational: float evaluation works, and an exact
+    # table is refused with one message wherever it is asked for
+    seq = XiSequence.power_law(Fraction(3, 2))
+    x, y = _c(Z1) * _c(Z2).conjugate(), _c(Z1).conjugate() * _c(Z2)
+    want = sum(n ** -1.5 * (x ** n + y ** n) for n in range(1, N + 1))
+    assert abs(mode_series(x, y, 0, "NK", seq, N) - want) < 1e-12
+    names = ("J+", "J-", "J3")
+    points = (Z1, Z2, CirclePoint(Fraction(3, 4), Fraction(1, 6)))
+    got = gaussian_oracle(names, points, K, seq, trunc=N, kappa=KAP, p=P)
+    expr = canonicalize(correlator_expression(names, K, {k: pt.r for k, pt in enumerate(points)}))
+    engine = expression_value(expr, dict(enumerate(points)), seq, trunc=N, kappa=KAP, p=P)
+    assert abs(got) > 1e-3
+    assert abs(got - engine) < 1e-10 * abs(got)
+    with pytest.raises(ValueError) as series:
+        mode_series(x, y, 0, "NK", seq, N, exact=True)
+    with pytest.raises(ValueError) as oracle:
+        gaussian_oracle(("alpha+", "alpha-"), (Z1, Z2), K, seq, trunc=4, exact=True)
+    assert str(series.value) == str(oracle.value)
