@@ -35,8 +35,7 @@ from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tu
 
 from .algebra import (CURRENT_CHARGE, EXP_CHARGE, HALF, SectorConfig, expand_current,
                       primitive_commutator)
-from .distributions import (Coeff, Expression, Term, UnionFind, charge_vanishes, gaussian_rule,
-                            orient)
+from .distributions import Coeff, Expression, Term, charge_vanishes, gaussian_rule, orient
 from .errors import StructuralViolation
 
 logger = logging.getLogger(__name__)
@@ -125,18 +124,30 @@ def vertex_choices(name: str, position: int, cfg: SectorConfig) -> Tuple[VertexC
 # ---------------------------------------------------------------------------
 
 
+def _closes(succ: Dict[int, int], s: int, t: int) -> bool:
+    """Whether the successor walk from t reaches s within len(succ) steps."""
+    v = t
+    for _ in range(len(succ)):
+        if v == s or v not in succ:
+            break
+        v = succ[v]
+    return v == s
+
+
 def _resolve_stubs(choices: Sequence[VertexChoice], cfg: SectorConfig
                    ) -> Iterator[Tuple[Tuple[Edge, ...], Tuple[Cycle, ...]]]:
     """All complete stub resolutions for a fixed choice of vertex terms, each
     with its loops: the :func:`loop_components` of its edges.
 
-    The plain edges placed so far are joined in a union-find that is undone
-    on backtrack.  The loops change only when a plain edge closes a cycle,
-    and only then does :func:`loop_components` run, on the edges placed so
-    far; any other edge hangs a tree onto a component and leaves every cycle
-    as it was."""
+    The loops change only when a plain edge closes a cycle, and only then
+    does :func:`loop_components` run, on the edges placed so far; any other
+    edge hangs a tree onto a component and leaves every cycle as it was.
+    When a plain edge s -> t is placed, s has no successor yet, so the edge
+    closes a cycle exactly when the successor walk from t reaches s.  The
+    walk takes at most as many steps as there are plain edges, so a walk
+    that enters an earlier cycle stops."""
     n = len(choices)
-    uf = UnionFind()
+    succ: Dict[int, int] = {}   # the plain edges placed so far, source -> target
 
     def rec(s: int, consumed: Set[int], hits: Set[int], edges: List[Edge],
             loops: Tuple[Cycle, ...]):
@@ -151,11 +162,10 @@ def _resolve_stubs(choices: Sequence[VertexChoice], cfg: SectorConfig
             tc = choices[t]
             if tc.charge is not None:
                 edges.append(Edge(stub, s, t, "exp"))
-                absorbed = uf.union(s, t)
-                found = loop_components(edges) if absorbed is None else loops
+                found = loop_components(edges) if _closes(succ, s, t) else loops
+                succ[s] = t
                 yield from rec(s + 1, consumed, hits, edges, found)
-                if absorbed is not None:
-                    uf.undo(absorbed)
+                del succ[s]
                 edges.pop()
             if tc.terminal and t not in hits:
                 edges.append(Edge(stub, s, t, "terminal"))

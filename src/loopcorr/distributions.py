@@ -37,8 +37,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Tuple
 
-import numpy as np
-
 from .errors import SingularProduct, StructuralViolation
 from .kernels import XiSequence, mode_series
 
@@ -529,13 +527,8 @@ def d_du(term: Term, idx: int, realization: Optional[str]) -> List[Term]:
 
 
 class UnionFind:
-    """Disjoint sets of indices; the smallest index of a set is its root.
-
-    There is no path compression, so every union can be undone: ``union``
-    links the larger root under the smaller one and returns the root it
-    absorbed, and ``undo`` unlinks that root again.  Undoing the unions in reverse order restores
-    every earlier state (a union-find with backtracking; Westbrook and
-    Tarjan, SIAM J. Comput. 1989)."""
+    """Disjoint sets of indices; the smallest index of a set is its root:
+    ``union`` links the larger root under the smaller one."""
 
     def __init__(self):
         self.p: Dict[int, int] = {}   # non-root index -> its parent
@@ -556,10 +549,6 @@ class UnionFind:
             ra, rb = rb, ra
         self.p[rb] = ra
         return rb
-
-    def undo(self, root: int) -> None:
-        """Reverse the union that absorbed ``root``."""
-        del self.p[root]
 
 
 def detect_singular(expr: Expression) -> List[int]:
@@ -807,8 +796,12 @@ def smear(expr: Expression, tests: Dict[int, Dict[int, complex]], seq: XiSequenc
     a ``grid x grid`` matrix per coupled pair; memory is O(pairs * grid^2)
     rather than the O(grid^m) of a dense grid over m variables.  Pair
     matrices and coincident-point constants are computed once per call.
-    Raises ``ValueError`` for ``grid < 1`` or ``trunc < 0``.
+    Raises ``ValueError`` for ``grid < 1`` or ``trunc < 0``.  numpy is
+    imported here and in :func:`_grid_integral`, so the symbolic layers
+    never load it.
     """
+    import numpy as np
+
     if grid < 1 or trunc < 0:
         raise ValueError(f"smear needs grid >= 1 and trunc >= 0, "
                          f"got grid={grid}, trunc={trunc}")
@@ -893,7 +886,9 @@ def _grid_integral(realization, exps, g, factors, variables, series, theta) -> c
     """Grid mean of the test vectors of ``variables`` times every pair
     factor times exp(+-[sum_a q_a^2 N(r_a^2)/2 + sum_{a<b} q_a q_b N(w_ab)]):
     one scalar, one matrix per pair, one einsum."""
-    pairs: Dict[Tuple[int, int], np.ndarray] = {}
+    import numpy as np
+
+    pairs: Dict[Tuple[int, int], "np.ndarray"] = {}
     for (family, k, i, j) in factors:
         pairs[i, j] = pairs.get((i, j), 1.0) * series(family, k, i, j)
     scale = 1.0 + 0.0j

@@ -433,11 +433,20 @@ def expression_value(expr: Expression, points: Mapping[int, CirclePoint],
                      exact: bool = False):
     """Evaluate a token expression at a fixed point configuration, with every
     kernel series truncated at mode ``trunc`` -- the same regularization the
-    oracle uses, so values are directly comparable.  Raises ``ValueError``
-    for ``trunc < 0``."""
+    oracle uses, so values are directly comparable.  Each pair series is
+    computed once per call.  Raises ``ValueError`` for ``trunc < 0``."""
     if trunc < 0:
         raise ValueError(f"expression_value needs trunc >= 0, got trunc={trunc}")
     realization = expr.realization
+    memo: Dict[tuple, object] = {}
+
+    def series(family: str, k: int, i: int, j: int):
+        key = (family, k, i, j)
+        if key not in memo:
+            z, w = _pt_value(points[i], exact), _pt_value(points[j], exact)
+            memo[key] = _pair_series(z, w, k, family, seq, trunc, exact)
+        return memo[key]
+
     total = _zero(exact)
     xi0 = _xi0(seq, exact)
     work = list(expr.terms)
@@ -455,21 +464,16 @@ def expression_value(expr: Expression, points: Mapping[int, CirclePoint],
         v = _coeff_value(t.coeff, kappa, p, xi0, exact)
         factors = [("delta", k, i, j) for (i, j, k) in t.deltas] + list(t.smooth)
         for (family, k, i, j) in factors:
-            z, w = _pt_value(points[i], exact), _pt_value(points[j], exact)
-            v = v * _pair_series(z, w, k, family, seq, trunc, exact)
+            v = v * series(family, k, i, j)
         if t.exps:
             if charge_vanishes(realization, (q for _, q in t.exps)):
                 continue
             family, sign = gaussian_rule(realization)
             arg = _zero(exact)
             for a, (pa, qa) in enumerate(t.exps):
-                za = _pt_value(points[pa], exact)
-                na = _pair_series(za, za, 0, family, seq, trunc, exact)
-                arg = arg + sign * qa * qa * na / 2
+                arg = arg + sign * qa * qa * series(family, 0, pa, pa) / 2
                 for pb, qb in t.exps[a + 1:]:
-                    zb = _pt_value(points[pb], exact)
-                    nab = _pair_series(za, zb, 0, family, seq, trunc, exact)
-                    arg = arg + sign * qa * qb * nab
+                    arg = arg + sign * qa * qb * series(family, 0, pa, pb)
             v = v * _exp(arg, exact)
         total = total + v
     return total

@@ -292,7 +292,7 @@ def test_module_entry_point_runs_without_warnings(fresh_python):
     assert proc.stderr == ""
 
 
-_ENGINE_AND_FLOAT_PATHS = """
+_SYMBOLIC_PATHS = """
 import sys
 from fractions import Fraction
 from loopcorr import (CirclePoint, CurrentWord, RenormScheme, SectorConfig, XiSequence,
@@ -305,18 +305,28 @@ scheme = RenormScheme.mu_family(cfg, entries={2: 1, 3: Fraction(1, 2)}, default=
 seq = XiSequence.geometric(Fraction(1, 2))
 expr = evaluate_correlator(CurrentWord.from_names(("J+", "J-", "J3")), scheme)
 expr.to_json()
-smear(canonicalize(expr), {0: {1: 1.0}, 1: {-1: 1.0}, 2: {0: 1.0}}, seq, trunc=6, grid=12)
 pts = [CirclePoint(Fraction(1, 2), Fraction(k, 8)) for k in (1, 3)]
 off = evaluate_correlator(CurrentWord.from_names(("J+", "J-"), radius=Fraction(1, 2)), scheme)
 expression_value(off, dict(enumerate(pts)), seq, trunc=6)
 gaussian_oracle(("J+", "J-"), pts, cfg, seq, trunc=6)
 loop_census(("J+", "J-", "J3", "J3"), cfg)
 main(["eval", "Jp(1) Jm(2)"])
-print("sympy" in sys.modules)
+main(["commcheck", "--context", "0"])
 """
+_SMEAR = """
+smear(canonicalize(expr), {0: {1: 1.0}, 1: {-1: 1.0}, 2: {0: 1.0}}, seq, trunc=6, grid=12)
+"""
+_ENGINE_AND_FLOAT_PATHS = _SYMBOLIC_PATHS + _SMEAR + 'print("sympy" in sys.modules)\n'
 
 
 def test_engine_and_float_paths_load_no_sympy(fresh_python):
     proc = fresh_python("-c", _ENGINE_AND_FLOAT_PATHS)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "False"
+
+
+def test_symbolic_paths_load_no_numpy(fresh_python):
+    check = 'print("numpy" in sys.modules)\n'
+    proc = fresh_python("-c", _SYMBOLIC_PATHS + check + _SMEAR + check)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-2:] == ["False", "True"]   # smear alone loads it

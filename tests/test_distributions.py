@@ -251,19 +251,16 @@ def test_detect_singular_lists_what_canonicalize_refuses():
     assert detect_singular(on_circle) == [0, 1, 2]
 
 
-def test_union_find_joins_and_undoes():
+def test_union_find_joins_under_smallest_root():
     uf = UnionFind()
     assert uf.union(3, 1) == 3
     assert uf.union(4, 2) == 4
+    assert [uf.find(i) for i in (1, 2, 3, 4)] == [1, 2, 1, 2]
     assert uf.union(4, 3) == 2          # the smallest index stays the root
     assert [uf.find(i) for i in (1, 2, 3, 4)] == [1, 1, 1, 1]
     assert uf.union(2, 3) is None       # ends already joined
-    uf.undo(2)
-    assert [uf.find(i) for i in (1, 2, 3, 4)] == [1, 2, 1, 2]
-    uf.undo(4)
-    uf.undo(3)
-    assert [uf.find(i) for i in (1, 2, 3, 4)] == [1, 2, 3, 4]
-    assert uf.union(0, 4) == 4
+    assert uf.union(0, 4) == 1
+    assert [uf.find(i) for i in (0, 1, 2, 3, 4)] == [0, 0, 0, 0, 0]
 
 
 def test_inside_disc_deltas_are_not_distributions():
