@@ -124,65 +124,99 @@ def vertex_choices(name: str, position: int, cfg: SectorConfig) -> Tuple[VertexC
 # ---------------------------------------------------------------------------
 
 
-def _closes(succ: Dict[int, int], s: int, t: int) -> bool:
-    """Whether the successor walk from t reaches s within len(succ) steps."""
-    v = t
-    for _ in range(len(succ)):
-        if v == s or v not in succ:
-            break
-        v = succ[v]
-    return v == s
-
-
 def _resolve_stubs(choices: Sequence[VertexChoice], cfg: SectorConfig
                    ) -> Iterator[Tuple[Tuple[Edge, ...], Tuple[Cycle, ...]]]:
     """All complete stub resolutions for a fixed choice of vertex terms, each
-    with its loops: the :func:`loop_components` of its edges.
+    with its loops: the :func:`loop_components` of its edges.  Lazy: the
+    resolutions are searched for as they are asked for.
+
+    Each stub's alternatives are built once, in the order of its targets
+    (nearest first): a plain edge into an exponential, a delta' edge into a
+    terminal and, in the unitary sector, a dotted edge from an a-stub into a
+    later b-stub.  A stub with no alternative kills the combo at once unless
+    an earlier a-stub could consume it, which only a b-stub in the unitary
+    sector allows.  The search keeps one stack frame per placed stub: the
+    stub, its next alternative and the loops before its edge.
 
     The loops change only when a plain edge closes a cycle, and only then
-    does :func:`loop_components` run, on the edges placed so far; any other
-    edge hangs a tree onto a component and leaves every cycle as it was.
-    When a plain edge s -> t is placed, s has no successor yet, so the edge
-    closes a cycle exactly when the successor walk from t reaches s.  The
-    walk takes at most as many steps as there are plain edges, so a walk
-    that enters an earlier cycle stops."""
+    does :func:`loop_components` run, on the edges placed so far with that
+    edge last; any other edge hangs a tree onto a component and leaves every
+    cycle as it was.  When a plain edge s -> t is placed, s has no successor
+    yet, so the edge closes a cycle exactly when the successor walk from t
+    reaches s.  The walk takes at most as many steps as there are plain
+    edges, so a walk that enters an earlier cycle stops."""
     n = len(choices)
-    succ: Dict[int, int] = {}   # the plain edges placed so far, source -> target
-
-    def rec(s: int, consumed: Set[int], hits: Set[int], edges: List[Edge],
-            loops: Tuple[Cycle, ...]):
-        while s < n and (choices[s].stub is None or s in consumed):
-            s += 1
-        if s == n:
-            yield tuple(edges), loops
-            return
-        stub = choices[s].stub
-        targets = range(s + 1, n) if stub == "a" else range(s - 1, -1, -1)
-        for t in targets:
+    unitary = cfg.unitary
+    stubs: List[int] = []
+    alternatives: List[List[Tuple[str, int, Edge]]] = []
+    for s, ch in enumerate(choices):
+        stub = ch.stub
+        if stub is None:
+            continue
+        options = []
+        for t in (range(s + 1, n) if stub == "a" else range(s - 1, -1, -1)):
             tc = choices[t]
             if tc.charge is not None:
-                edges.append(Edge(stub, s, t, "exp"))
-                found = loop_components(edges) if _closes(succ, s, t) else loops
-                succ[s] = t
-                yield from rec(s + 1, consumed, hits, edges, found)
-                del succ[s]
-                edges.pop()
-            if tc.terminal and t not in hits:
-                edges.append(Edge(stub, s, t, "terminal"))
-                hits.add(t)
-                yield from rec(s + 1, consumed, hits, edges, loops)
-                hits.discard(t)
-                edges.pop()
-            if (stub == "a" and cfg.unitary and tc.stub == "b"
-                    and t not in consumed):
-                edges.append(Edge("dot", s, t, "stub"))
-                consumed.add(t)
-                yield from rec(s + 1, consumed, hits, edges, loops)
-                consumed.discard(t)
-                edges.pop()
-        # a stub with no accepted target annihilates the diagram: no yield
+                options.append(("exp", t, Edge(stub, s, t, "exp")))
+            if tc.terminal:
+                options.append(("terminal", t, Edge(stub, s, t, "terminal")))
+            if unitary and stub == "a" and tc.stub == "b":
+                options.append(("dot", t, Edge("dot", s, t, "stub")))
+        if not options and (stub == "a" or not unitary):
+            return
+        stubs.append(s)
+        alternatives.append(options)
 
-    yield from rec(0, set(), set(), [], ())
+    m = len(stubs)
+    succ: Dict[int, int] = {}   # the plain edges placed so far, source -> target
+    hits: Set[int] = set()      # the terminals hit so far
+    consumed: Set[int] = set()  # the b-stubs a dotted edge has annihilated
+    edges: List[Edge] = []
+    loops: Tuple[Cycle, ...] = ()
+    frames: List[Tuple[int, int, Tuple[Cycle, ...]]] = []
+    k = i = 0   # the stub to place next, and its next alternative
+    while True:
+        while k < m:
+            if stubs[k] in consumed:
+                k += 1
+                continue
+            options = alternatives[k]
+            while i < len(options):
+                kind, t, edge = options[i]
+                i += 1
+                if not ((kind == "terminal" and t in hits) or (kind == "dot" and t in consumed)):
+                    break
+            else:
+                break   # stub k has no alternative left
+            frames.append((k, i, loops))
+            edges.append(edge)
+            if kind == "exp":
+                s, v = stubs[k], t
+                for _ in range(len(succ)):   # the successor walk from t
+                    if v == s or v not in succ:
+                        break
+                    v = succ[v]
+                if v == s:
+                    loops = loop_components(edges)
+                succ[s] = t
+            elif kind == "terminal":
+                hits.add(t)
+            else:
+                consumed.add(t)
+            k, i = k + 1, 0
+        else:
+            yield tuple(edges), loops
+        # take back the last edge placed and try its stub's next alternative
+        if not frames:
+            return
+        k, i, loops = frames.pop()
+        edge = edges.pop()
+        if edge.into == "exp":
+            del succ[edge.source]
+        elif edge.into == "terminal":
+            hits.discard(edge.target)
+        else:
+            consumed.discard(edge.target)
 
 
 def _rho_matchings(positions: Sequence[int]
@@ -357,22 +391,30 @@ def loop_components(edges: Sequence[Edge]) -> Tuple[Cycle, ...]:
     raise :class:`StructuralViolation`.
     """
     succ: Dict[int, int] = {}
-    for e in edges:
-        if e.into == "exp":
-            if e.source in succ:
-                raise StructuralViolation(f"two plain edges leave insertion {e.source}")
-            succ[e.source] = e.target
+    for _kind, source, target, into in edges:
+        if into == "exp":
+            if source in succ:
+                raise StructuralViolation(f"two plain edges leave insertion {source}")
+            succ[source] = target
     walk: Dict[int, int] = {}
     loops = []
     for start in succ:
-        path = []
+        if start in walk:
+            continue
         v = start
         while v in succ and v not in walk:
             walk[v] = start
-            path.append(v)
             v = succ[v]
         if walk.get(v) == start:
-            pairs = [(u, succ[u]) if u < succ[u] else (succ[u], u) for u in path[path.index(v):]]
+            # v lies on the cycle this walk closed: go round it once
+            pairs = []
+            u = v
+            while True:
+                w = succ[u]
+                pairs.append((u, w) if u < w else (w, u))
+                if w == v:
+                    break
+                u = w
             loops.append(tuple(sorted(pairs)))
     return tuple(sorted(loops))
 
@@ -410,9 +452,10 @@ def loop_census(word: Sequence[str], cfg: SectorConfig) -> CensusReport:
     for combo in itertools.product(*per_vertex):
         for _edges, found in _resolve_stubs(combo, cfg):
             total += 1
-            for loop in found:
-                loops[len(loop)] += 1
-            looped += bool(found)
+            if found:
+                looped += 1
+                for loop in found:
+                    loops[len(loop)] += 1
     # each loop is one cycle of its own component
     return CensusReport(word, total, looped, loops, int(looped > 0))
 

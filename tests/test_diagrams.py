@@ -9,6 +9,7 @@ in every realization, with and without the unitary dotted pairing.
 import importlib.util
 import itertools
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -299,7 +300,7 @@ def test_loop_census_no_multiloop_components():
 
 def test_tracked_loops_match_loop_components(monkeypatch):
     # the unitary sector's dotted edges must not count as loop edges, and the
-    # recursion calls loop_components only where the edge it just placed
+    # search calls loop_components only where the edge it just placed
     # changes the loops
     def changing(edges):
         found = loop_components(edges)
@@ -372,6 +373,64 @@ def functional_edge_lists(draw):
 @given(edges=functional_edge_lists())
 def test_loop_components_match_bruteforce_cycles(edges):
     assert loop_components(edges) == _bruteforce_loops(edges)
+
+
+def _stub_resolutions_by_definition(choices):
+    """Stub resolutions by definition, sorted: every a-stub hits an
+    exponential or terminal to its right or annihilates a b-stub to its
+    right, every b-stub hits an exponential or terminal to its left or is
+    annihilated; no terminal is hit twice, an annihilated b-stub is
+    annihilated exactly once and places no edge."""
+    n = len(choices)
+    per_stub = []
+    for s, ch in enumerate(choices):
+        if ch.stub is None:
+            continue
+        targets = range(s + 1, n) if ch.stub == "a" else range(s)
+        options = [Edge(ch.stub, s, t, "exp") for t in targets if choices[t].charge is not None]
+        options += [Edge(ch.stub, s, t, "terminal") for t in targets if choices[t].terminal]
+        if ch.stub == "a":
+            options += [Edge("dot", s, t, "stub") for t in targets if choices[t].stub == "b"]
+        else:
+            options.append(None)   # annihilated by a dotted edge
+        per_stub.append((s, options))
+    out = []
+    for picks in itertools.product(*(options for _, options in per_stub)):
+        edges = tuple(e for e in picks if e is not None)
+        hit = [e.target for e in edges if e.into == "terminal"]
+        dotted = sorted(e.target for e in edges if e.into == "stub")
+        annihilated = [s for (s, _), e in zip(per_stub, picks) if e is None]
+        if len(hit) == len(set(hit)) and dotted == annihilated:
+            out.append((edges, _bruteforce_loops(edges)))
+    return sorted(out)
+
+
+def test_unitary_stub_resolutions_match_definition():
+    # a b-stub with no target of its own is still resolved when an a-stub
+    # annihilates it, as in J3 J3 with the one dotted edge 0 -> 1
+    assert ((Edge("dot", 0, 1, "stub"),), ()) in _stub_resolutions_by_definition(
+        (vertex_choices("J3", 0, KU)[0], vertex_choices("J3", 1, KU)[1]))
+    for cfg in (KU, AU):
+        currents = CURRENTS_K if cfg.realization == "K" else CURRENTS_A
+        for n in range(1, 5):
+            for word in itertools.product(currents, repeat=n):
+                per_vertex = [vertex_choices(nm, k, cfg) for k, nm in enumerate(word)]
+                for combo in itertools.product(*per_vertex):
+                    got = sorted(_resolve_stubs(combo, cfg))
+                    assert got == _stub_resolutions_by_definition(combo), (cfg, combo)
+
+
+def test_stub_resolutions_are_lazy():
+    # the diagrams of this word number in the millions; the first thousand
+    # come without the rest being searched for or held
+    word = ("J+", "J-", "J+", "J-", "J+", "J-", "J3", "J3")
+    combo = next(itertools.product(*(vertex_choices(nm, k, K) for k, nm in enumerate(word))))
+    resolutions = _resolve_stubs(combo, K)
+    assert iter(resolutions) is resolutions
+    start = time.perf_counter()
+    first = list(itertools.islice(enumerate_diagrams(word, K), 1000))
+    assert len(first) == 1000
+    assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize("word, diagrams, looped, loops", [
