@@ -26,7 +26,11 @@ analytic function given by its truncated mode sum).
 circle, every delta-connected component is a star anchored at its smallest
 index with all smooth content moved onto the root.  Two expressions that are
 equal as distributions canonicalize to the identical term list, so equality
-checking and exact-zero verification reduce to syntactic comparison.
+checking and exact-zero verification reduce to syntactic comparison.  Its
+rewrite rules act on bare structures, the token tuples ``Term.key()``
+returns, and give each successor structure with an integer factor; the
+coefficients ride along in the worklist, one scaling per successor.
+:func:`d_du` and :meth:`Term.relabel` are the same rules on whole terms.
 """
 
 from __future__ import annotations
@@ -313,6 +317,10 @@ def gaussian_rule(realization: Optional[str]) -> Tuple[str, int]:
     raise ValueError("exponential factors need a realization")
 
 
+# a term's structure: everything but its coefficient, as Term.key() gives it
+Structure = Tuple[tuple, tuple, tuple, tuple]
+
+
 @dataclass(frozen=True)
 class Term:
     """One product term.  Token tuples are kept sorted; ``coeff`` is the
@@ -324,24 +332,15 @@ class Term:
     exps: Tuple[Tuple[int, int], ...] = ()              # (pos, charge)
     dmarks: Tuple[int, ...] = ()                        # pending d/du_t
 
-    def key(self):
+    def key(self) -> Structure:
         return (self.deltas, self.smooth, self.exps, self.dmarks)
 
     def _replace(self, **changes) -> "Term":
         """``dataclasses.replace`` without its per-field introspection and
-        frozen ``__init__``: canonicalization copies hundreds of thousands
-        of terms.  ``changes`` names Term fields."""
+        frozen ``__init__``.  ``changes`` names Term fields."""
         new = object.__new__(Term)
         new.__dict__.update(self.__dict__, **changes)
         return new
-
-    def sorted(self) -> "Term":
-        return self._replace(
-            deltas=tuple(sorted(self.deltas)),
-            smooth=tuple(sorted(self.smooth)),
-            exps=tuple(sorted(self.exps)),
-            dmarks=tuple(sorted(self.dmarks)),
-        )
 
     def indices(self) -> set:
         out = set()
@@ -357,25 +356,32 @@ class Term:
     def relabel(self, mapping: Dict[int, int]) -> "Term":
         """Rename indices; token orientations are re-normalized (this is a
         pure renaming, validity of any identification is the caller's
-        business)."""
-        coeff = self.coeff
-        deltas = []
-        for (i, j, k) in self.deltas:
-            a, b, s = orient(mapping.get(i, i), mapping.get(j, j), k)
-            if a == b:
-                raise StructuralViolation("delta factor with equal endpoints")
-            deltas.append((a, b, k))
-            if s != 1:
-                coeff = coeff.scale(s)
-        smooth = []
-        for (family, k, i, j) in self.smooth:
-            a, b, s = orient(mapping.get(i, i), mapping.get(j, j), k)
-            smooth.append((family, k, a, b))
-            if s != 1:
-                coeff = coeff.scale(s)
-        exps = tuple(sorted((mapping.get(p, p), c) for (p, c) in self.exps))
-        dmarks = tuple(sorted(mapping.get(t, t) for t in self.dmarks))
-        return Term(coeff, tuple(sorted(deltas)), tuple(sorted(smooth)), exps, dmarks)
+        business).  See :func:`_relabel`."""
+        structure, n = _relabel(self.key(), mapping)
+        return Term(self.coeff.scale(n), *structure)
+
+
+def _relabel(s: Structure, mapping: Dict[int, int]) -> Tuple[Structure, int]:
+    """The structure with its indices renamed by ``mapping``, every token
+    re-oriented by :func:`orient` and every tuple sorted, and the sign that
+    the re-orientations cost."""
+    deltas, smooth, exps, dmarks = s
+    n = 1
+    new_deltas = []
+    for (i, j, k) in deltas:
+        a, b, sign = orient(mapping.get(i, i), mapping.get(j, j), k)
+        if a == b:
+            raise StructuralViolation("delta factor with equal endpoints")
+        new_deltas.append((a, b, k))
+        n *= sign
+    new_smooth = []
+    for (family, k, i, j) in smooth:
+        a, b, sign = orient(mapping.get(i, i), mapping.get(j, j), k)
+        new_smooth.append((family, k, a, b))
+        n *= sign
+    return ((tuple(sorted(new_deltas)), tuple(sorted(new_smooth)),
+             tuple(sorted((mapping.get(p, p), c) for (p, c) in exps)),
+             tuple(sorted(mapping.get(t, t) for t in dmarks))), n)
 
 
 @dataclass
@@ -485,38 +491,43 @@ def conjugate(expr: Expression) -> Expression:
 
 
 def d_du(term: Term, idx: int, realization: Optional[str]) -> List[Term]:
-    """d/du_idx of a term, as a list of terms (product rule).
+    """d/du_idx of a term, as a list of terms (product rule, see
+    :func:`_d_du`)."""
+    return [Term(term.coeff.scale(n), *s) for s, n in _d_du(term.key(), idx, realization)]
+
+
+def _d_du(s: Structure, idx: int, realization: Optional[str]) -> List[Tuple[Structure, int]]:
+    """d/du_idx of a structure by the product rule: (structure, integer
+    factor) for each factor hit.
 
     Exponential factors differentiate into kernel-derivative emissions
     against every other charge; the constant self-energies do not
     contribute.  Pending derivative markers are inert (derivatives
     commute)."""
-    out: List[Term] = []
+    deltas, smooth, exps, dmarks = s
+    out: List[Tuple[Structure, int]] = []
 
-    for n, (i, j, k) in enumerate(term.deltas):
+    for n, (i, j, k) in enumerate(deltas):
         if idx == i or idx == j:
-            s = 1 if idx == i else -1
-            deltas = term.deltas[:n] + ((i, j, k + 1),) + term.deltas[n + 1:]
-            out.append(term._replace(coeff=term.coeff.scale(s), deltas=tuple(sorted(deltas))))
+            changed = deltas[:n] + ((i, j, k + 1),) + deltas[n + 1:]
+            out.append(((tuple(sorted(changed)), smooth, exps, dmarks), 1 if idx == i else -1))
 
-    for n, (family, k, i, j) in enumerate(term.smooth):
+    for n, (family, k, i, j) in enumerate(smooth):
         if i != j and idx in (i, j):  # a factor with i == j is a constant
-            s = 1 if idx == i else -1
-            smooth = term.smooth[:n] + ((family, k + 1, i, j),) + term.smooth[n + 1:]
-            out.append(term._replace(coeff=term.coeff.scale(s), smooth=tuple(sorted(smooth))))
+            changed = smooth[:n] + ((family, k + 1, i, j),) + smooth[n + 1:]
+            out.append(((deltas, tuple(sorted(changed)), exps, dmarks), 1 if idx == i else -1))
 
-    if any(p == idx for p, _ in term.exps):
+    if any(p == idx for p, _ in exps):
         family, sign = gaussian_rule(realization)
-        for (pe, ce) in term.exps:
+        for (pe, ce) in exps:
             if pe != idx:
                 continue
-            for (ps, cs) in term.exps:
+            for (ps, cs) in exps:
                 if ps == idx:
                     continue  # same-point cross term is angle-independent
                 a, b, flip = orient(idx, ps, 1)
-                coeff = term.coeff.scale(sign * ce * cs * flip)
-                smooth = tuple(sorted(term.smooth + ((family, 1, a, b),)))
-                out.append(term._replace(coeff=coeff, smooth=smooth))
+                emitted = tuple(sorted(smooth + ((family, 1, a, b),)))
+                out.append(((deltas, emitted, exps, dmarks), sign * ce * cs * flip))
 
     return out
 
@@ -557,64 +568,61 @@ def detect_singular(expr: Expression) -> List[int]:
     :func:`_delta_forest`.  An empty list means every term is a
     well-defined distribution."""
     off = expr.off_circle()
-    return [n for n, t in enumerate(expr.terms) if _delta_forest(t, off) is None]
+    return [n for n, t in enumerate(expr.terms) if _delta_forest(t.deltas, off) is None]
 
 
 def canonicalize(expr: Expression) -> Expression:
     """Rewrite to canonical form.  A term that stays divergent on the circle
     raises (see :func:`_rewrite`).
 
-    Each rewrite multiplies the coefficient by an integer, so what a term
-    rewrites to depends on its structure (``Term.key()``) alone, with
-    coefficients linear in its own: the worklist holds one entry per
-    structure, level by level, and each entry is rewritten once with the sum
-    of the coefficients that reached it.  A term that enters with a zero
-    coefficient is dropped; a sum that cancels is still rewritten, so that
-    it raises the errors each of its terms would raise.
+    Every rewrite step acts on a bare structure (``Term.key()``) and
+    multiplies by an integer, so what a term rewrites to depends on its
+    structure alone, with coefficients linear in its own.  The worklist
+    maps each structure to one coefficient, level by level: the input terms
+    (their token tuples sorted) are the first level, each entry is
+    rewritten once with the sum of the coefficients that reached it, and a
+    successor costs one ``Coeff.scale`` by its integer.  A term that enters
+    with a zero coefficient is dropped; a sum that cancels is still
+    rewritten, so that it raises the errors each of its terms would raise.
+    Terms are built only for the structures returned.
 
-    One pass is all it takes: every term emitted comes from the finished
-    branch of :func:`_rewrite`, where no rule applies, and merging equal
-    structures only adds coefficients, so the result is a fixed point."""
+    One pass is all it takes: every structure returned comes from the
+    finished branch of :func:`_rewrite`, where no rule applies, and merging
+    equal structures only adds coefficients, so the result is a fixed
+    point."""
     off, realization = expr.off_circle(), expr.realization
-    out: List[Term] = []
-    level: Dict[tuple, list] = {}
+    level: Dict[Structure, Coeff] = {}
     for t in expr.terms:
         if not t.coeff.is_zero:
-            _gather(level, t)
+            s = (tuple(sorted(t.deltas)), tuple(sorted(t.smooth)), tuple(sorted(t.exps)),
+                 t.dmarks)
+            old = level.get(s)
+            level[s] = t.coeff if old is None else old + t.coeff
+    finished: Dict[Structure, Coeff] = {}
+    forests: Dict[tuple, Optional[list]] = {}  # delta tuple -> its forest, for this off
     while level:
-        nxt: Dict[tuple, list] = {}
-        for t, coeff in level.values():
-            if coeff is not t.coeff:
-                t = t._replace(coeff=coeff)
-            done, successors = _rewrite(t, off, realization)
+        nxt: Dict[Structure, Coeff] = {}
+        for s, coeff in level.items():
+            done, successors = _rewrite(s, off, realization, forests)
             if done is not None:
-                out.append(done)
-            for s in successors:
-                _gather(nxt, s)
+                old = finished.get(done)
+                finished[done] = coeff if old is None else old + coeff
+            for s2, n in successors:
+                c = coeff.scale(n)
+                old = nxt.get(s2)
+                nxt[s2] = c if old is None else old + c
         level = nxt
-    # merge identical structures
-    merged: Dict[tuple, list] = {}
-    for t in out:
-        _gather(merged, t)
-    terms = [t._replace(coeff=coeff) for _k, (t, coeff) in sorted(merged.items())
-             if not coeff.is_zero]
+    terms = [Term(coeff, *s) for s, coeff in sorted(finished.items()) if not coeff.is_zero]
     return Expression(terms, realization, dict(expr.radii))
 
 
-def _gather(level: Dict[tuple, list], t: Term) -> None:
-    """Add t's coefficient to the entry [term, coefficient sum] of its
-    structure."""
-    k = t.key()
-    entry = level.get(k)
-    if entry is None:
-        level[k] = [t, t.coeff]
-    else:
-        entry[1] = entry[1] + t.coeff
-
-
-def _rewrite(t: Term, off: frozenset, realization) -> Tuple[Optional[Term], List[Term]]:
-    """One rewrite step of a term whose indices in ``off`` are inside the
-    disc: (finished term, []) when no rule applies, else (None, successors).
+def _rewrite(s: Structure, off: frozenset, realization, forests: Dict[tuple, Optional[list]]
+             ) -> Tuple[Optional[Structure], List[Tuple[Structure, int]]]:
+    """One rewrite step of a structure whose indices in ``off`` are inside
+    the disc, its token tuples sorted: (finished structure, []) when no rule
+    applies, else (None, successors), each successor with its integer
+    factor.  ``forests`` keeps the forest of each delta tuple seen with this
+    ``off``: a deep word's tens of thousands of steps meet under a thousand.
 
     After pending derivatives, the K charge balance and the merging of
     exponential charges, one rule is left.  The on-circle deltas form a
@@ -624,50 +632,63 @@ def _rewrite(t: Term, off: frozenset, realization) -> Tuple[Optional[Term], List
     (:func:`_move_leaf`).  The node order is deepest first, so a node's
     children have moved before it does, and the content of each tree ends
     on its root, the smallest index, with every other node a bare leaf of
-    the root: the star form.  A term returned as finished is one where no
-    node carries content, so rewriting it again finishes it unchanged.
+    the root: the star form.  A structure returned as finished is one where
+    no node carries content, so rewriting it again finishes it unchanged.
 
     This is the one place where divergence is decided: a delta-square
     pattern raises :class:`SingularProduct`; an odd self factor (i == j) is
     exactly zero and drops the term; a wavy or dotted self factor on the
     circle raises :class:`StructuralViolation`, whatever deltas closed it."""
+    deltas, smooth, exps, dmarks = s
     # expand pending derivative markers
-    if t.dmarks:
-        return None, d_du(t._replace(dmarks=t.dmarks[1:]), t.dmarks[0], realization)
-    if t.exps and charge_vanishes(realization, (c for _, c in t.exps)):
+    if dmarks:
+        return None, _d_du((deltas, smooth, exps, dmarks[1:]), dmarks[0], realization)
+    if exps and charge_vanishes(realization, (c for _, c in exps)):
         return None, []
-    forest = _delta_forest(t, off)
+    forest = forests.get(deltas)
+    if forest is None:
+        forest = forests[deltas] = _delta_forest(deltas, off)
     if forest is None:
         raise SingularProduct(
             "delta-square pattern outside a loop-renormalization context: "
-            f"{t.deltas}")
-    t = _orient_charges(_merge_exps(t))
-    if any(i == j and k % 2 == 1 for (_f, k, i, j) in t.smooth):
+            f"{deltas}")
+    exps = _normal_charges(exps)
+    if any(i == j and k % 2 == 1 for (_f, k, i, j) in smooth):
         return None, []
-    for (family, _k, i, j) in t.smooth:
+    for (family, _k, i, j) in smooth:
         if i == j and family in ("wavy", "D") and i not in off:
             raise StructuralViolation(f"{family} factor closed onto on-circle point {i}")
-    for x, edge in forest:
-        if _tokens_at(t, x, skip_delta=edge):
-            return None, _move_leaf(t, x, edge, realization)
-    return t.sorted(), []
+    s = (deltas, smooth, exps, ())
+    if forest:
+        # a node carries content besides its parent edge when it occurs twice
+        refs = [i for (i, _j, _k) in deltas] + [j for (_i, j, _k) in deltas]
+        refs += [i for (_f, _k, i, _j) in smooth] + [j for (_f, _k, _i, j) in smooth]
+        refs += [pos for (pos, _c) in exps]
+        for x, edge in forest:
+            if refs.count(x) > 1:
+                return None, _move_leaf(s, x, edge, realization)
+    return s, []
 
 
-def _delta_forest(t: Term, off: frozenset) -> Optional[List[Tuple[int, Tuple[int, int, int]]]]:
+def _delta_forest(deltas: tuple, off: frozenset) -> Optional[List[Tuple[int, Tuple[int, int, int]]]]:
     """The graph of the on-circle delta factors (both ends outside ``off``)
     as BFS trees from the smallest index of each component: (node, delta to
     its parent) for every non-root node, components in the order of their
     roots, within a component deepest first and ties by the larger index.
     None when the graph is not a forest (a repeated pair or a cycle:
     delta^2-type)."""
+    on = [tok for tok in deltas if tok[0] not in off and tok[1] not in off] if off else deltas
+    if len(on) <= 1:
+        if not on:
+            return []
+        (tok,) = on
+        i, j, _k = tok
+        return [(max(i, j), tok)] if i != j else None
     adj: Dict[int, List[Tuple[int, Tuple[int, int, int]]]] = {}
-    edges = 0
-    for tok in t.deltas:
+    for tok in on:
         (i, j, _k) = tok
-        if i not in off and j not in off:
-            adj.setdefault(i, []).append((j, tok))
-            adj.setdefault(j, []).append((i, tok))
-            edges += 1
+        adj.setdefault(i, []).append((j, tok))
+        adj.setdefault(j, []).append((i, tok))
     order: List[Tuple[int, Tuple[int, int, int]]] = []
     seen = set()
     roots = 0
@@ -692,67 +713,63 @@ def _delta_forest(t: Term, off: frozenset) -> Optional[List[Tuple[int, Tuple[int
             frontier = nxt
         tree.sort(reverse=True)
         order.extend((w, tok) for (_d, w, tok) in tree)
-    if edges != len(adj) - roots:
+    if len(on) != len(adj) - roots:
         return None
     return order
 
 
-def _merge_exps(t: Term) -> Term:
-    """Merge exponential charges at equal positions; drop zero charges.
-    Exact: exponentials of the same field at the same point multiply by
-    adding charges."""
-    if not t.exps:
-        return t
-    acc: Dict[int, int] = {}
-    for pos, c in t.exps:
-        acc[pos] = acc.get(pos, 0) + c
-    exps = tuple(sorted((pos, c) for pos, c in acc.items() if c != 0))
-    if exps == t.exps:
-        return t
-    return t._replace(exps=exps)
-
-
-def _orient_charges(t: Term) -> Term:
-    """Fix the overall sign convention of the exponential charges.  The
-    Gaussian weight is quadratic in the charge vector, so negating every
-    charge at once leaves the value untouched in both realizations; we pick
-    the representative whose lowest occupied position carries a positive
+def _normal_charges(exps: tuple) -> tuple:
+    """The exponential charges merged and oriented; ``exps`` itself when it
+    already is.  Merging adds the charges at equal positions and drops the
+    zeros (exponentials of the same field at the same point multiply by
+    adding charges).  Orienting fixes the overall sign: the Gaussian weight
+    is quadratic in the charge vector, so negating every charge at once
+    leaves the value untouched in both realizations, and the representative
+    kept is the one whose lowest occupied position carries a positive
     charge, which lets conjugate-reversed terms merge."""
-    if t.exps and t.exps[0][1] < 0:
-        return t._replace(exps=tuple(sorted((pos, -c) for pos, c in t.exps)))
-    return t
+    if not exps:
+        return exps
+    last = None
+    for pos, c in exps:
+        if not c or (last is not None and pos <= last):
+            break
+        last = pos
+    else:
+        if exps[0][1] > 0:
+            return exps
+    acc: Dict[int, int] = {}
+    for pos, c in exps:
+        acc[pos] = acc.get(pos, 0) + c
+    merged = tuple(sorted((pos, c) for pos, c in acc.items() if c != 0))
+    if merged and merged[0][1] < 0:
+        return tuple((pos, -c) for pos, c in merged)
+    return merged
 
 
-def _tokens_at(t: Term, x: int, skip_delta: Tuple[int, int, int]) -> bool:
-    """Whether any factor other than ``skip_delta`` references index x."""
-    for tok in t.deltas:
-        if tok != skip_delta and x in (tok[0], tok[1]):
-            return True
-    return (any(x in (i, j) for (_f, _k, i, j) in t.smooth)
-            or any(p == x for p, _ in t.exps))
-
-
-def _move_leaf(term: Term, x: int, edge: Tuple[int, int, int], realization) -> List[Term]:
+def _move_leaf(s: Structure, x: int, edge: Tuple[int, int, int],
+               realization) -> List[Tuple[Structure, int]]:
     """Move every factor at x onto the other end p of the delta ``edge``.
     A plain delta moves it by support relabeling, f(u_x) delta(u_p - u_x) =
     f(u_p) delta(u_p - u_x); a derivative delta by the Leibniz exchange
     G(v) d^k delta(u-v) = sum_l C(k,l) G^(l)(u) d^(k-l) delta(u-v) (with an
     extra (-1)^l when G sits at the derivative endpoint u)."""
+    deltas, smooth, exps, dmarks = s
     (i, j, k) = edge
     p = j if x == i else i
-    base = term._replace(deltas=tuple(tok for tok in term.deltas if tok != edge))
     mapping = {x: p}
     deriv_end = x == i
-    out: List[Term] = []
-    layer: List[Term] = [base]
+    out: List[Tuple[Structure, int]] = []
+    layer: List[Tuple[Structure, int]] = [
+        ((tuple(tok for tok in deltas if tok != edge), smooth, exps, dmarks), 1)]
     for l in range(0, k + 1):
         c = math.comb(k, l) * ((-1) ** l if deriv_end else 1)
-        for tt in layer:
-            moved = (tt if c == 1 else tt._replace(coeff=tt.coeff.scale(c))).relabel(mapping)
-            residual = (i, j, k - l)
-            out.append(moved._replace(deltas=tuple(sorted(moved.deltas + (residual,)))))
+        residual = (i, j, k - l)
+        for tt, n in layer:
+            (moved, msmooth, mexps, mdmarks), sign = _relabel(tt, mapping)
+            out.append(((tuple(sorted(moved + (residual,))), msmooth, mexps, mdmarks),
+                        n * c * sign))
         if l < k:
-            layer = [t2 for tt in layer for t2 in d_du(tt, x, realization)]
+            layer = [(t2, n * m) for tt, n in layer for t2, m in _d_du(tt, x, realization)]
             if not layer:
                 break
     return out

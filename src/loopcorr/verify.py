@@ -30,7 +30,7 @@ import itertools
 import logging
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .algebra import (
     A_LETTERS,
@@ -318,7 +318,20 @@ def _comm_value(right: str, z_ab, z_r, cfg: SectorConfig, seq: XiSequence,
 def oracle_letters(word: Sequence[Tuple[str, int]], points: Mapping[int, CirclePoint],
                    cfg: SectorConfig, seq: XiSequence, *, trunc: int = 16,
                    kappa=1, p=0, exact: bool = False):
-    """Expectation of a word of primitive letters (name, point index).
+    """Expectation of a word of primitive letters (name, point index): the
+    sum of c times the Gaussian value of each reduced word that
+    :func:`_reduced_words` yields."""
+    total = _zero(exact)
+    for c, ls in _reduced_words(word, points, cfg, seq, trunc, exact):
+        total = total + c * _mode_eval(ls, points, cfg, seq, trunc, kappa, p, exact)
+    return total
+
+
+def _reduced_words(word: Sequence[Tuple[str, int]], points: Mapping[int, CirclePoint],
+                   cfg: SectorConfig, seq: XiSequence, trunc: int,
+                   exact: bool) -> Iterator[Tuple[object, Tuple[Tuple[str, int], ...]]]:
+    """(c, letters) for every word free of a/b/h letters that the word
+    rewrites to, c its coefficient.
 
     The first a/b letter is commuted across the whole word in a single pass
     (a to the right end, where it annihilates; b to the left end); every
@@ -327,7 +340,6 @@ def oracle_letters(word: Sequence[Tuple[str, int]], points: Mapping[int, CircleP
     """
     one = _one(exact)
     half = _rat(HALF, exact)
-    total = _zero(exact)
     stack: List[Tuple[object, Tuple[Tuple[str, int], ...]]] = [(one, tuple(word))]
     while stack:
         c, ls = stack.pop()
@@ -339,7 +351,7 @@ def oracle_letters(word: Sequence[Tuple[str, int]], points: Mapping[int, CircleP
             continue
         abpos = next((k for k, (nm, _) in enumerate(ls) if nm in ("a", "b")), None)
         if abpos is None:
-            total = total + c * _mode_eval(ls, points, cfg, seq, trunc, kappa, p, exact)
+            yield c, ls
             continue
         k = abpos
         nm, ix = ls[k]
@@ -364,7 +376,6 @@ def oracle_letters(word: Sequence[Tuple[str, int]], points: Mapping[int, CircleP
                     new = rest[:j - 1] + tuple((r, other[1]) for r in repl) + rest[j:]
                     stack.append((c * val, new))
             # a that reaches the right end annihilates: no term
-    return total
 
 
 def gaussian_oracle(names: Sequence[str], points: Sequence[CirclePoint],
@@ -403,6 +414,7 @@ def gaussian_oracle(names: Sequence[str], points: Sequence[CirclePoint],
             expansions.append([(_one(exact), ((nm, k),))])
 
     total = _zero(exact)
+    values: Dict[Tuple[Tuple[str, int], ...], object] = {}  # reduced word -> its value
     idx = [0] * len(expansions)
     while True:
         cval = _one(exact)
@@ -411,8 +423,14 @@ def gaussian_oracle(names: Sequence[str], points: Sequence[CirclePoint],
             c, ls = options[idx[k]]
             cval = cval * c
             letters = letters + ls
-        total = total + cval * oracle_letters(
-            letters, pts, cfg, seq, trunc=trunc, kappa=kappa, p=p, exact=exact)
+        # the sum oracle_letters makes, each reduced word evaluated once per call
+        sub = _zero(exact)
+        for c, ls in _reduced_words(letters, pts, cfg, seq, trunc, exact):
+            value = values.get(ls)
+            if value is None:
+                value = values[ls] = _mode_eval(ls, pts, cfg, seq, trunc, kappa, p, exact)
+            sub = sub + c * value
+        total = total + cval * sub
         for k in range(len(idx) - 1, -1, -1):
             idx[k] += 1
             if idx[k] < len(expansions[k]):

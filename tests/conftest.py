@@ -54,3 +54,35 @@ def fractions_built(monkeypatch):
         return count
 
     return run
+
+
+@pytest.fixture
+def terms_built(monkeypatch):
+    """terms_built(f, *args) calls f and returns its result and how many
+    Terms the call built, by ``Term.__init__`` or ``Term._replace``.  Both
+    are wrapped for the test and restored after it."""
+    from loopcorr.distributions import Term
+
+    count = 0
+    init, replace = Term.__init__, Term._replace
+
+    def counted_init(self, *args, **kwargs):
+        nonlocal count
+        count += 1
+        init(self, *args, **kwargs)
+
+    def counted_replace(self, **changes):
+        nonlocal count
+        count += 1
+        return replace(self, **changes)
+
+    monkeypatch.setattr(Term, "__init__", counted_init)
+    monkeypatch.setattr(Term, "_replace", counted_replace)
+
+    def run(f, *args):
+        nonlocal count
+        count = 0
+        result = f(*args)
+        return result, count
+
+    return run

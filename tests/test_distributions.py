@@ -20,9 +20,10 @@ from loopcorr.distributions import (
     smear,
 )
 from loopcorr.algebra import SectorConfig
+from loopcorr.diagrams import enumerate_diagrams
 from loopcorr.errors import SingularProduct, StructuralViolation
 from loopcorr.kernels import XiSequence
-from loopcorr.renorm import RenormScheme
+from loopcorr.renorm import RenormScheme, renormalize_diagram
 from loopcorr.verify import gram_matrix
 
 SEQ = XiSequence.geometric(Fraction(1, 2))
@@ -249,6 +250,16 @@ def test_detect_singular_lists_what_canonicalize_refuses():
     # the report lists term indices
     on_circle = expr([term(1, deltas=d) for d, radii, _s in cases if not radii])
     assert detect_singular(on_circle) == [0, 1, 2]
+
+
+def test_canonicalize_builds_terms_only_for_its_output(terms_built):
+    # every rewrite step acts on bare structures with integer factors
+    cfg = SectorConfig("K", "nonunitary")
+    raw = expr([t for d in enumerate_diagrams(("J+", "J-", "J3", "J3"), cfg)
+                for t in renormalize_diagram(d, cfg)], "K")
+    result, built = terms_built(canonicalize, raw)
+    assert len(raw.terms) > len(result.terms) > 0
+    assert built == len(result.terms)
 
 
 def test_union_find_joins_under_smallest_root():

@@ -13,6 +13,10 @@ The hashes live in ``golden_to_json.json`` next to this file; regenerate
 them (only for an intended change) with
 
     PYTHONPATH=src python3 tests/test_golden.py
+
+A second, wider check hashes the symbolic correlators themselves, with
+every loop scale a symbol, of every K and A word of length 1 to 3 in every
+sector and dotted rule (312 correlators) into one SHA-256.
 """
 
 import hashlib
@@ -23,7 +27,7 @@ from fractions import Fraction
 
 from loopcorr.algebra import CURRENTS_A, CURRENTS_K, SectorConfig
 from loopcorr.distributions import canonicalize
-from loopcorr.renorm import CurrentWord, RenormScheme, evaluate_correlator
+from loopcorr.renorm import CurrentWord, RenormScheme, evaluate_correlator, symbolic_correlator
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_to_json.json")
 MU = {2: Fraction(1), 3: Fraction(1, 2), 4: Fraction(-2, 3)}
@@ -32,6 +36,9 @@ DEFAULT_MU = Fraction(1, 3)
 ZERO_MU = {2: Fraction(1), 3: Fraction(0)}
 # words of five insertions, where canonicalization dominates the cost
 LONG = {"K": ("J+ J- J+ J- J3", "J- J3 J3 J+ J3"), "A": ("H F E F E", "E H H H F")}
+# SHA-256 of the symbolic correlators of the short words, see
+# test_symbolic_correlators_of_short_words_are_unchanged
+SYMBOLIC_SHA256 = "817b5b94a40e0cd93cd164347619c81dfb233cf7d7c478cf726111a66f0222b3"
 
 
 def _schemes(realization, sector):
@@ -74,6 +81,23 @@ def test_canonical_json_is_unchanged():
     assert sorted(got) == sorted(want), "the golden ladder itself changed"
     changed = [label for label in want if got[label] != want[label]]
     assert not changed, f"canonical JSON changed for {len(changed)} words, first: {changed[:5]}"
+
+
+def test_symbolic_correlators_of_short_words_are_unchanged():
+    # each to_json and a newline, in the order of the loops below
+    h = hashlib.sha256()
+    count = 0
+    for realization, currents in (("K", CURRENTS_K), ("A", CURRENTS_A)):
+        for sector, rule in (("nonunitary", None), ("unitary", None),
+                             ("unitary", "both-sides"), ("unitary", "either-side")):
+            cfg = SectorConfig(realization, sector)
+            for n in (1, 2, 3):
+                for names in itertools.product(currents, repeat=n):
+                    expr = symbolic_correlator(CurrentWord.from_names(names), cfg, rule)
+                    h.update(expr.to_json().encode() + b"\n")
+                    count += 1
+    assert count == 312
+    assert h.hexdigest() == SYMBOLIC_SHA256
 
 
 def test_ladder_results_are_fixed_points():

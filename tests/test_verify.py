@@ -8,13 +8,15 @@ literals so a regression in either the formula or the oracle is caught.
 """
 
 import cmath
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
 import sympy as sp
 
-from loopcorr.algebra import SectorConfig
+import loopcorr.verify as verify
+from loopcorr.algebra import SectorConfig, expand_current
 from loopcorr.diagrams import correlator_expression
 from loopcorr.distributions import Coeff, Expression, Term, canonicalize, smear
 from loopcorr.errors import RealizationMismatch
@@ -283,6 +285,35 @@ def test_expression_value_rejects_negative_truncation():
     expression_value(e, points, SEQ, trunc=0)  # the boundary is accepted
     with pytest.raises(ValueError, match="trunc"):
         expression_value(e, points, SEQ, trunc=-5)
+
+
+def test_oracle_evaluates_each_reduced_word_once(monkeypatch):
+    names = ("J+", "J-", "J3", "J3")
+    points = [CirclePoint(Fraction(k + 3, 8), Fraction(k, 5)) for k in range(4)]
+    evaluated = []
+    mode_eval = verify._mode_eval
+
+    def counted(letters, *args):
+        evaluated.append(letters)
+        return mode_eval(letters, *args)
+
+    monkeypatch.setattr(verify, "_mode_eval", counted)
+    got = gaussian_oracle(names, points, K, SEQ, trunc=6, kappa=KAP, p=P)
+    memo_calls = len(evaluated)
+    # the unmemoized sum over the expansions, in the oracle's order
+    evaluated.clear()
+    want = 0j
+    xi0 = float(SEQ.xi0)
+    for combo in itertools.product(*(expand_current(nm, k, K) for k, nm in enumerate(names))):
+        cval = 1 + 0j
+        letters = ()
+        for term in combo:
+            cval = cval * term.coeff.subs_numeric(kappa=KAP, p=P, xi0=xi0)
+            letters = letters + tuple((s, term.index) for s in term.symbols)
+        want = want + cval * oracle_letters(letters, dict(enumerate(points)), K, SEQ,
+                                            trunc=6, kappa=KAP, p=P)
+    assert len(evaluated) > memo_calls == len(set(evaluated))
+    assert got == want
 
 
 def test_oracle_rejects_points_outside_the_disc():
