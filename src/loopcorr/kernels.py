@@ -26,8 +26,13 @@ Three sequence families are supported:
   xi_{m+k} = xi_m * t^k with 0 < t < 1.
 
 Sequence parameters are exact rationals.  The series is summed in floats,
-or exactly in sympy when asked; sympy is imported inside the exact branch
-only, so float evaluation and the engine never load it.
+or exactly in sympy when asked.  That choice is made in one place:
+:func:`arith` returns the :class:`Arith` record of the arithmetic (zero, one,
+the unit i, how to read a rational, exp, how to read a point), and every
+float-or-exact evaluator -- the tables and series here, the oracle and
+``expression_value`` in :mod:`loopcorr.verify` -- reads that record instead
+of branching.  Only the exact record imports sympy, so float evaluation and
+the engine never load it.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 Scalar = Union[int, float, Fraction]
 
@@ -79,6 +84,34 @@ class CirclePoint:
         import sympy as sp
 
         return sp.nsimplify(self.r) * sp.exp(2 * sp.pi * sp.I * sp.nsimplify(self.t))
+
+
+class Arith(NamedTuple):
+    """One arithmetic for the mode sums: Python floats and complex numbers,
+    or exact sympy numbers.  ``rat`` reads an int or Fraction, ``point`` a
+    :class:`CirclePoint`; ``exp`` is the exponential of the arithmetic."""
+
+    exact: bool
+    zero: object
+    one: object
+    i: object
+    rat: Callable
+    exp: Callable
+    point: Callable
+
+
+_FLOAT = Arith(False, 0j, 1 + 0j, 1j, float, cmath.exp, CirclePoint.to_complex)
+
+
+def arith(exact: bool = False) -> Arith:
+    """The float record, or the exact one, which imports sympy."""
+    if not exact:
+        return _FLOAT
+    import sympy as sp
+
+    return Arith(True, sp.Integer(0), sp.Integer(1), sp.I,
+                 lambda v: sp.Rational(v.numerator, v.denominator), sp.exp,
+                 CirclePoint.to_sympy)
 
 
 @dataclass(frozen=True)
@@ -220,14 +253,10 @@ def series_coefficients(family: str, seq: Optional[XiSequence], N: int,
     else:
         raise ValueError(f"unknown mode-series family {family!r}")
     values = [c0] + [c(n) for n in range(1, N + 1)]
-    if not exact:
-        return tuple(float(v) for v in values)
-    if any(isinstance(v, float) for v in values):
+    if exact and any(isinstance(v, float) for v in values):
         raise ValueError(f"xi_n = n^(-{seq.s}) is irrational: a power law with a "
                          "non-integer exponent has no exact mode series")
-    import sympy as sp
-
-    return tuple(sp.Rational(v.numerator, v.denominator) for v in values)
+    return tuple(map(arith(exact).rat, values))
 
 
 def mode_series(x, y, k: int, family: str, seq: Optional[XiSequence], N: int,
@@ -246,12 +275,7 @@ def mode_series(x, y, k: int, family: str, seq: Optional[XiSequence], N: int,
     sympy numbers too, otherwise floats.
     """
     c = series_coefficients(family, seq, N, exact)
-    if exact:
-        import sympy as sp
-
-        i = sp.I
-    else:
-        i = 1j
+    i = arith(exact).i
     total = c[0] if k == 0 else 0 * c[0]
     xp = yp = 1
     for n in range(1, N + 1):

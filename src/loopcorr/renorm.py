@@ -35,15 +35,12 @@ from .algebra import CURRENT_CHARGE, SectorConfig
 from .diagrams import Diagram, diagram_weight, enumerate_diagrams
 from .distributions import Coeff, Expression, Term, UnionFind, canonicalize, charge_vanishes
 from .errors import MissingMu, StructuralViolation
+from .kernels import _as_fraction
 
 logger = logging.getLogger(__name__)
 
 _POLICIES = ("drop-loops", "mu", "unitary-dotted")
 _RULES = ("both-sides", "either-side")
-
-
-def _frac(x) -> Fraction:
-    return Fraction(str(x)) if isinstance(x, float) else Fraction(x)
 
 
 @dataclass(frozen=True)
@@ -74,9 +71,10 @@ class RenormScheme:
     @classmethod
     def mu_family(cls, sector: SectorConfig, entries: Optional[Dict[int, object]] = None,
                   default: Optional[object] = None) -> "RenormScheme":
-        mu = tuple(sorted((int(k), _frac(v)) for k, v in (entries or {}).items()))
+        mu = tuple(sorted((int(k), _as_fraction(v, f"mu_{k}"))
+                          for k, v in (entries or {}).items()))
         return cls("mu", sector, mu,
-                   None if default is None else _frac(default))
+                   None if default is None else _as_fraction(default, "default"))
 
     @classmethod
     def unitary_dotted(cls, sector: SectorConfig,
@@ -113,7 +111,7 @@ class CurrentWord:
     def from_names(cls, names: Sequence[str], radius=1) -> "CurrentWord":
         names = tuple(names)
         radii = radius if isinstance(radius, (list, tuple)) else (radius,) * len(names)
-        return cls(names, tuple(_frac(r) for r in radii))
+        return cls(names, tuple(_as_fraction(r, "radius") for r in radii))
 
 
 # ---------------------------------------------------------------------------

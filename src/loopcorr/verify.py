@@ -16,7 +16,10 @@ diagrams it works in a mode-truncated model of the loop algebra:
 
 Values are plain complex numbers by default, or exact sympy expressions with
 ``exact=True`` (points with rational radius/turn; kappa and p may then even
-be sympy symbols).
+be sympy symbols).  Each public evaluator reads ``exact`` once, at entry,
+into the :class:`~loopcorr.kernels.Arith` record of :func:`~loopcorr.kernels.arith`
+and hands that record down; nothing below branches on the flag except
+:func:`_coeff_value`, which converts an engine coefficient.
 
 :func:`expression_value` evaluates a token expression pointwise with every
 kernel truncated at the same mode cutoff, which is what makes direct
@@ -25,12 +28,10 @@ engine-versus-oracle comparisons meaningful.
 
 from __future__ import annotations
 
-import cmath
 import itertools
 import logging
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Sequence, Tuple
 
 from .algebra import (
     A_LETTERS,
@@ -55,69 +56,42 @@ from .distributions import (
     smear,
 )
 from .errors import RealizationMismatch
-from .kernels import CirclePoint, XiSequence, mode_series, series_coefficients
+from .kernels import Arith, CirclePoint, XiSequence, arith, mode_series, series_coefficients
 from .renorm import CurrentWord, RenormScheme, evaluate_correlator
 
 logger = logging.getLogger(__name__)
 
+Word = Tuple[Tuple[str, int], ...]
+
 
 # ---------------------------------------------------------------------------
-# small value helpers, generic over float/sympy arithmetic; sympy is
-# imported on the exact branches only
+# inputs and values shared by the oracle and expression_value
 # ---------------------------------------------------------------------------
 
 
-def _pt_value(pt: CirclePoint, exact: bool):
-    return pt.to_sympy() if exact else pt.to_complex()
+class _Points(dict):
+    """Point values by insertion index; a missing one is named."""
+
+    def __missing__(self, k):
+        raise ValueError(f"no point given for insertion {k}")
 
 
-def _conj(v, exact: bool):
-    if exact:
-        import sympy as sp
-
-        return sp.conjugate(v)
-    return v.conjugate()
-
-
-def _imag_unit(exact: bool):
-    if exact:
-        import sympy as sp
-
-        return sp.I
-    return 1j
+def _point_values(points, trunc: int, ar: Arith) -> _Points:
+    """Each point of a mapping or sequence, by its index, as a number of the
+    arithmetic.  Raises ``ValueError`` for a point outside the closed unit
+    disc or a negative mode truncation."""
+    if not isinstance(points, Mapping):
+        points = dict(enumerate(points))
+    for pt in points.values():
+        if not (0 <= float(pt.r) <= 1):
+            raise ValueError(f"radius {pt.r} outside [0, 1]")
+    if trunc < 0:
+        raise ValueError(f"the mode truncation must be >= 0, got {trunc}")
+    return _Points((k, ar.point(pt)) for k, pt in points.items())
 
 
-def _rat(fr, exact: bool):
-    if exact:
-        import sympy as sp
-
-        fr = Fraction(fr)
-        return sp.Rational(fr.numerator, fr.denominator)
-    return float(fr)
-
-
-def _zero(exact: bool):
-    return _rat(0, True) if exact else 0j
-
-
-def _one(exact: bool):
-    return _rat(1, True) if exact else (1 + 0j)
-
-
-def _xi0(seq: XiSequence, exact: bool):
-    return _rat(seq.xi0, exact)
-
-
-def _exp(v, exact: bool):
-    if exact:
-        import sympy as sp
-
-        return sp.exp(v)
-    return cmath.exp(v)
-
-
-def _coeff_value(c: Coeff, kappa, p, xi0, exact: bool):
-    if not exact:
+def _coeff_value(c: Coeff, kappa, p, xi0, ar: Arith):
+    if not ar.exact:
         return c.subs_numeric(kappa=kappa, p=p, xi0=xi0)
     import sympy as sp
 
@@ -127,10 +101,9 @@ def _coeff_value(c: Coeff, kappa, p, xi0, exact: bool):
     return c.to_sympy().subs(subs, simultaneous=True)
 
 
-def _pair_series(z, w, k: int, family: str, seq: Optional[XiSequence], N: int,
-                 exact: bool):
+def _pair_series(z, w, k: int, family: str, seq, N: int, ar: Arith):
     """The mode series of a family at the point pair (z, w)."""
-    return mode_series(z * _conj(w, exact), _conj(z, exact) * w, k, family, seq, N, exact)
+    return mode_series(z * w.conjugate(), z.conjugate() * w, k, family, seq, N, ar.exact)
 
 
 # ---------------------------------------------------------------------------
@@ -138,18 +111,18 @@ def _pair_series(z, w, k: int, family: str, seq: Optional[XiSequence], N: int,
 # ---------------------------------------------------------------------------
 
 
-def _psi(z, m: int, exact: bool):
+def _psi(z, m: int, one):
     if m == 0:
-        return _rat(1, exact)
+        return one
     if m > 0:
         return z ** m
-    return _conj(z, exact) ** (-m)
+    return z.conjugate() ** (-m)
 
 
-def _cov_pair(v: Dict[int, object], w: Dict[int, object], cov, exact: bool):
+def _cov_pair(v: Dict[int, object], w: Dict[int, object], cov, zero):
     """<v, C w> = sum_m c_|m| v_m w_{-m}, with c the ``NK`` or ``NA`` table
     of :func:`series_coefficients`."""
-    total = _zero(exact)
+    total = zero
     for m, vv in v.items():
         ww = w.get(-m)
         if ww is None:
@@ -158,44 +131,44 @@ def _cov_pair(v: Dict[int, object], w: Dict[int, object], cov, exact: bool):
     return total
 
 
-def _factor_pairings(factors, gamma_total, cov, exact):
+def _factor_pairings(factors, gamma_total, cov, ar: Arith):
     """Isserlis over linear factors with the tilt <F, C Gamma> for singles."""
     if not factors:
-        return _one(exact)
+        return ar.one
     first, rest = factors[0], factors[1:]
-    total = _cov_pair(first, gamma_total, cov, exact) * \
-        _factor_pairings(rest, gamma_total, cov, exact)
+    total = _cov_pair(first, gamma_total, cov, ar.zero) * \
+        _factor_pairings(rest, gamma_total, cov, ar)
     for idx in range(len(rest)):
-        pair = _cov_pair(first, rest[idx], cov, exact)
+        pair = _cov_pair(first, rest[idx], cov, ar.zero)
         total = total + pair * _factor_pairings(
-            rest[:idx] + rest[idx + 1:], gamma_total, cov, exact)
+            rest[:idx] + rest[idx + 1:], gamma_total, cov, ar)
     return total
 
 
-def _rho_pairings(zs, N, kappa, p, realization, exact):
+def _rho_pairings(zs, N, kappa, p, realization, ar: Arith):
     """Isserlis over rho insertions: mean p, and each pair 2 kappa sum n x^n
     with x = zi conj(zj) (K) or conj(zi) zj (A)."""
     if not zs:
-        return _one(exact)
+        return ar.one
     first, rest = zs[0], zs[1:]
-    total = p * _rho_pairings(rest, N, kappa, p, realization, exact)
+    total = p * _rho_pairings(rest, N, kappa, p, realization, ar)
     for idx in range(len(rest)):
         zj = rest[idx]
-        x = first * _conj(zj, exact) if realization == "K" else _conj(first, exact) * zj
-        total = total + 2 * kappa * mode_series(x, 0, 0, "wavy", None, N, exact) * \
-            _rho_pairings(rest[:idx] + rest[idx + 1:], N, kappa, p, realization, exact)
+        x = first * zj.conjugate() if realization == "K" else first.conjugate() * zj
+        total = total + 2 * kappa * mode_series(x, 0, 0, "wavy", None, N, ar.exact) * \
+            _rho_pairings(rest[:idx] + rest[idx + 1:], N, kappa, p, realization, ar)
     return total
 
 
-def _mode_eval(letters: Sequence[Tuple[str, int]], points: Mapping[int, CirclePoint],
-               cfg: SectorConfig, seq: XiSequence, N: int, kappa, p, exact: bool):
-    """Gaussian expectation of a word free of a/b/h letters.
+def _mode_eval(letters: Word, zs: Mapping[int, object], cfg: SectorConfig,
+               seq: XiSequence, N: int, kappa, p, ar: Arith):
+    """Gaussian expectation of a word free of a/b/h letters, with ``zs`` the
+    point values.
 
     Exponentials are *unnormalized*: E[e^{i q phi(z)}] = e^{-q^2 N(z,z)/2},
     matching the self-energy convention of the engine's exponential tokens.
     """
-    i = _imag_unit(exact)
-    zero = _zero(exact)
+    i, zero, unit = ar.i, ar.zero, ar.rat(1)
     is_a = cfg.realization == "A"
     gammas: List[Dict[int, object]] = []
     factors: List[Dict[int, object]] = []
@@ -207,11 +180,14 @@ def _mode_eval(letters: Sequence[Tuple[str, int]], points: Mapping[int, CirclePo
         for m in range(-N, N + 1):
             if m == 0 and not is_a:
                 continue
-            g[m] = scale * _psi(z, m, exact)
+            g[m] = scale * _psi(z, m, unit)
         return g
 
+    def linear(z, scale):
+        return {m: scale * m * _psi(z, m, unit) for m in range(-N, N + 1) if m != 0}
+
     for name, idx in letters:
-        z = _pt_value(points[idx], exact)
+        z = zs[idx]
         if name == "rho":
             rhos.append(z)
             continue
@@ -228,26 +204,21 @@ def _mode_eval(letters: Sequence[Tuple[str, int]], points: Mapping[int, CirclePo
             gammas.append(gamma_of(z, i * eps))
             charge += eps
         elif name in ("e+", "e-"):
-            sig = EXP_CHARGE[name]
-            gammas.append(gamma_of(z, sig * _rat(1, exact)))
+            gammas.append(gamma_of(z, EXP_CHARGE[name] * unit))
         elif name in ("dalpha+", "dalpha-"):
             eps = EXP_CHARGE[name]
             gammas.append(gamma_of(z, i * eps))
             charge += eps
-            factors.append({m: -eps * m * _psi(z, m, exact)
-                            for m in range(-N, N + 1) if m != 0})
+            factors.append(linear(z, -eps))
         elif name in ("de+", "de-"):
             sig = EXP_CHARGE[name]
-            gammas.append(gamma_of(z, sig * _rat(1, exact)))
-            factors.append({m: i * sig * m * _psi(z, m, exact)
-                            for m in range(-N, N + 1) if m != 0})
+            gammas.append(gamma_of(z, sig * unit))
+            factors.append(linear(z, i * sig))
         elif name == "alpha-dalpha+":
             # alpha^- d(alpha^+) = i d(phi): the exponentials cancel exactly
-            factors.append({m: -m * _psi(z, m, exact)
-                            for m in range(-N, N + 1) if m != 0})
+            factors.append(linear(z, -1))
         elif name == "e-de+":
-            factors.append({m: i * m * _psi(z, m, exact)
-                            for m in range(-N, N + 1) if m != 0})
+            factors.append(linear(z, i))
 
     if cfg.realization == "K" and charge != 0:
         return zero
@@ -257,11 +228,11 @@ def _mode_eval(letters: Sequence[Tuple[str, int]], points: Mapping[int, CirclePo
         for m, v in g.items():
             gamma_total[m] = gamma_total.get(m, zero) + v
 
-    cov = series_coefficients("NA" if is_a else "NK", seq, N, exact)
-    exp_arg = _cov_pair(gamma_total, gamma_total, cov, exact) / 2
-    value = _exp(exp_arg, exact)
-    value = value * _factor_pairings(tuple(factors), gamma_total, cov, exact)
-    value = value * _rho_pairings(tuple(rhos), N, kappa, p, cfg.realization, exact)
+    cov = series_coefficients("NA" if is_a else "NK", seq, N, ar.exact)
+    exp_arg = _cov_pair(gamma_total, gamma_total, cov, zero) / 2
+    value = ar.exp(exp_arg)
+    value = value * _factor_pairings(tuple(factors), gamma_total, cov, ar)
+    value = value * _rho_pairings(tuple(rhos), N, kappa, p, cfg.realization, ar)
     return value
 
 
@@ -271,26 +242,26 @@ def _mode_eval(letters: Sequence[Tuple[str, int]], points: Mapping[int, CirclePo
 
 
 def _comm_value(right: str, z_ab, z_r, cfg: SectorConfig, seq: XiSequence,
-                N: int, exact: bool, left: str):
+                N: int, ar: Arith, left: str):
     """[left(z_ab), right(z_r)] as a list of (scalar, replacement letters).
 
     left is 'a' or 'b'; both have the same commutator with every
     multiplication letter.  Only the a/b crossing distinguishes them.
     """
-    i = _imag_unit(exact)
+    i = ar.i
 
     def delta(k):
         # k-th derivative of the regulated delta in the a/b angle; the
         # derivative in the other angle is minus the k = 1 series
-        return _pair_series(z_ab, z_r, k, "delta", None, N, exact)
+        return _pair_series(z_ab, z_r, k, "delta", None, N, ar)
 
     if right in ("a", "b"):
         if right == left or not cfg.unitary:
             return []
         sign = 1 if left == "a" else -1
-        val = _pair_series(z_ab, z_r, 0, "D", seq, N, exact)
+        val = _pair_series(z_ab, z_r, 0, "D", seq, N, ar)
         if cfg.realization == "A":
-            val = val + 1 / (2 * _xi0(seq, exact))
+            val = val + 1 / (2 * ar.rat(seq.xi0))
         return [(sign * val, ())]
     if right == "rho":
         return []
@@ -315,21 +286,35 @@ def _comm_value(right: str, z_ab, z_r, cfg: SectorConfig, seq: XiSequence,
     raise ValueError(f"unknown letter {right!r}")
 
 
+def _reduced_sum(word: Word, zs: Mapping[int, object], cfg: SectorConfig,
+                 seq: XiSequence, N: int, kappa, p, ar: Arith,
+                 values: Dict[Word, object]):
+    """The sum of c times the Gaussian value of each reduced word that
+    :func:`_reduced_words` yields; ``values`` holds the value of every
+    reduced word met so far in the call, so each is evaluated once."""
+    total = ar.zero
+    for c, ls in _reduced_words(word, zs, cfg, seq, N, ar):
+        value = values.get(ls)
+        if value is None:
+            value = values[ls] = _mode_eval(ls, zs, cfg, seq, N, kappa, p, ar)
+        total = total + c * value
+    return total
+
+
 def oracle_letters(word: Sequence[Tuple[str, int]], points: Mapping[int, CirclePoint],
                    cfg: SectorConfig, seq: XiSequence, *, trunc: int = 16,
                    kappa=1, p=0, exact: bool = False):
     """Expectation of a word of primitive letters (name, point index): the
-    sum of c times the Gaussian value of each reduced word that
-    :func:`_reduced_words` yields."""
-    total = _zero(exact)
-    for c, ls in _reduced_words(word, points, cfg, seq, trunc, exact):
-        total = total + c * _mode_eval(ls, points, cfg, seq, trunc, kappa, p, exact)
-    return total
+    sum :func:`_reduced_sum` makes.  Raises ``ValueError`` for a point
+    outside the closed unit disc, a missing point the word needs or
+    ``trunc < 0``."""
+    ar = arith(exact)
+    zs = _point_values(points, trunc, ar)
+    return _reduced_sum(tuple(word), zs, cfg, seq, trunc, kappa, p, ar, {})
 
 
-def _reduced_words(word: Sequence[Tuple[str, int]], points: Mapping[int, CirclePoint],
-                   cfg: SectorConfig, seq: XiSequence, trunc: int,
-                   exact: bool) -> Iterator[Tuple[object, Tuple[Tuple[str, int], ...]]]:
+def _reduced_words(word: Word, zs: Mapping[int, object], cfg: SectorConfig,
+                   seq: XiSequence, trunc: int, ar: Arith) -> Iterator[Tuple[object, Word]]:
     """(c, letters) for every word free of a/b/h letters that the word
     rewrites to, c its coefficient.
 
@@ -338,9 +323,8 @@ def _reduced_words(word: Sequence[Tuple[str, int]], points: Mapping[int, CircleP
     crossing emits a commutator branch with one a/b letter fewer, so the
     rewriting terminates.
     """
-    one = _one(exact)
-    half = _rat(HALF, exact)
-    stack: List[Tuple[object, Tuple[Tuple[str, int], ...]]] = [(one, tuple(word))]
+    half = ar.rat(HALF)
+    stack: List[Tuple[object, Word]] = [(ar.one, tuple(word))]
     while stack:
         c, ls = stack.pop()
         hpos = next((k for k, (nm, _) in enumerate(ls) if nm == "h"), None)
@@ -355,24 +339,22 @@ def _reduced_words(word: Sequence[Tuple[str, int]], points: Mapping[int, CircleP
             continue
         k = abpos
         nm, ix = ls[k]
-        z_ab = _pt_value(points[ix], exact)
+        z_ab = zs[ix]
         rest = ls[:k] + ls[k + 1:]  # the word without the moving letter
         if nm == "b":
             # word = prefix X_{k-1} ... X_0-side; crossing X_j costs -[b, X_j]
             for j in range(k - 1, -1, -1):
                 other = ls[j]
-                z_r = _pt_value(points[other[1]], exact)
-                for val, repl in _comm_value(other[0], z_ab, z_r, cfg, seq,
-                                             trunc, exact, "b"):
+                for val, repl in _comm_value(other[0], z_ab, zs[other[1]], cfg, seq,
+                                             trunc, ar, "b"):
                     new = rest[:j] + tuple((r, other[1]) for r in repl) + rest[j + 1:]
                     stack.append((-c * val, new))
             # b that reaches the front annihilates the state: no term
         else:
             for j in range(k + 1, len(ls)):
                 other = ls[j]
-                z_r = _pt_value(points[other[1]], exact)
-                for val, repl in _comm_value(other[0], z_ab, z_r, cfg, seq,
-                                             trunc, exact, "a"):
+                for val, repl in _comm_value(other[0], z_ab, zs[other[1]], cfg, seq,
+                                             trunc, ar, "a"):
                     new = rest[:j - 1] + tuple((r, other[1]) for r in repl) + rest[j:]
                     stack.append((c * val, new))
             # a that reaches the right end annihilates: no term
@@ -387,23 +369,20 @@ def gaussian_oracle(names: Sequence[str], points: Sequence[CirclePoint],
     letter; insertion k sits at points[k].  Completely independent of the
     diagram enumeration: currents are expanded, a/b letters are normal
     ordered away, and the residue is evaluated by Gaussian pairing.
-    Raises ``ValueError`` for a point outside the closed unit disc.
+    Raises ``ValueError`` for a point outside the closed unit disc or
+    ``trunc < 0``.
     """
-    pts = dict(enumerate(points))
-    if len(pts) != len(names):
+    if len(points) != len(names):
         raise ValueError("need exactly one point per insertion")
-    for pt in points:
-        if not (0 <= float(pt.r) <= 1):
-            raise ValueError(f"radius {pt.r} outside [0, 1]")
-    if trunc < 0:
-        raise ValueError(f"the mode truncation must be >= 0, got {trunc}")
-    xi0 = _xi0(seq, exact)
-    expansions: List[List[Tuple[object, Tuple[Tuple[str, int], ...]]]] = []
+    ar = arith(exact)
+    zs = _point_values(points, trunc, ar)
+    xi0 = ar.rat(seq.xi0)
+    expansions: List[List[Tuple[object, Word]]] = []
     for k, nm in enumerate(names):
         if nm in CURRENTS_K + CURRENTS_A:
             opts = []
             for term in expand_current(nm, k, cfg):
-                cval = _coeff_value(term.coeff, kappa, p, xi0, exact)
+                cval = _coeff_value(term.coeff, kappa, p, xi0, ar)
                 opts.append((cval, tuple((s, k) for s in term.symbols)))
             expansions.append(opts)
         else:
@@ -411,33 +390,17 @@ def gaussian_oracle(names: Sequence[str], points: Sequence[CirclePoint],
                 raise RealizationMismatch(f"letter {nm} needs the K realization")
             if nm in A_LETTERS and cfg.realization != "A":
                 raise RealizationMismatch(f"letter {nm} needs the A realization")
-            expansions.append([(_one(exact), ((nm, k),))])
+            expansions.append([(ar.one, ((nm, k),))])
 
-    total = _zero(exact)
-    values: Dict[Tuple[Tuple[str, int], ...], object] = {}  # reduced word -> its value
-    idx = [0] * len(expansions)
-    while True:
-        cval = _one(exact)
-        letters: Tuple[Tuple[str, int], ...] = ()
-        for k, options in enumerate(expansions):
-            c, ls = options[idx[k]]
+    total = ar.zero
+    values: Dict[Word, object] = {}
+    for combo in itertools.product(*expansions):
+        cval = ar.one
+        letters: Word = ()
+        for c, ls in combo:
             cval = cval * c
             letters = letters + ls
-        # the sum oracle_letters makes, each reduced word evaluated once per call
-        sub = _zero(exact)
-        for c, ls in _reduced_words(letters, pts, cfg, seq, trunc, exact):
-            value = values.get(ls)
-            if value is None:
-                value = values[ls] = _mode_eval(ls, pts, cfg, seq, trunc, kappa, p, exact)
-            sub = sub + c * value
-        total = total + cval * sub
-        for k in range(len(idx) - 1, -1, -1):
-            idx[k] += 1
-            if idx[k] < len(expansions[k]):
-                break
-            idx[k] = 0
-        else:
-            break
+        total = total + cval * _reduced_sum(letters, zs, cfg, seq, trunc, kappa, p, ar, values)
     return total
 
 
@@ -452,21 +415,22 @@ def expression_value(expr: Expression, points: Mapping[int, CirclePoint],
     """Evaluate a token expression at a fixed point configuration, with every
     kernel series truncated at mode ``trunc`` -- the same regularization the
     oracle uses, so values are directly comparable.  Each pair series is
-    computed once per call.  Raises ``ValueError`` for ``trunc < 0``."""
-    if trunc < 0:
-        raise ValueError(f"expression_value needs trunc >= 0, got trunc={trunc}")
+    computed once per call.  Raises ``ValueError`` for a point outside the
+    closed unit disc, a token on an insertion without a point or
+    ``trunc < 0``."""
+    ar = arith(exact)
+    zs = _point_values(points, trunc, ar)
     realization = expr.realization
     memo: Dict[tuple, object] = {}
 
     def series(family: str, k: int, i: int, j: int):
         key = (family, k, i, j)
         if key not in memo:
-            z, w = _pt_value(points[i], exact), _pt_value(points[j], exact)
-            memo[key] = _pair_series(z, w, k, family, seq, trunc, exact)
+            memo[key] = _pair_series(zs[i], zs[j], k, family, seq, trunc, ar)
         return memo[key]
 
-    total = _zero(exact)
-    xi0 = _xi0(seq, exact)
+    total = ar.zero
+    xi0 = ar.rat(seq.xi0)
     work = list(expr.terms)
     flat = []
     while work:
@@ -479,7 +443,7 @@ def expression_value(expr: Expression, points: Mapping[int, CirclePoint],
         else:
             flat.append(t)
     for t in flat:
-        v = _coeff_value(t.coeff, kappa, p, xi0, exact)
+        v = _coeff_value(t.coeff, kappa, p, xi0, ar)
         factors = [("delta", k, i, j) for (i, j, k) in t.deltas] + list(t.smooth)
         for (family, k, i, j) in factors:
             v = v * series(family, k, i, j)
@@ -487,12 +451,12 @@ def expression_value(expr: Expression, points: Mapping[int, CirclePoint],
             if charge_vanishes(realization, (q for _, q in t.exps)):
                 continue
             family, sign = gaussian_rule(realization)
-            arg = _zero(exact)
+            arg = ar.zero
             for a, (pa, qa) in enumerate(t.exps):
                 arg = arg + sign * qa * qa * series(family, 0, pa, pa) / 2
                 for pb, qb in t.exps[a + 1:]:
                     arg = arg + sign * qa * qb * series(family, 0, pa, pb)
-            v = v * _exp(arg, exact)
+            v = v * ar.exp(arg)
         total = total + v
     return total
 

@@ -1,5 +1,6 @@
 """Loop substitution, dotted filtering and the renormalized pipeline."""
 
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -46,6 +47,21 @@ def test_scheme_construction_and_mu_lookup():
         RenormScheme.unitary_dotted(K)  # nonunitary sector
     with pytest.raises(ValueError):
         RenormScheme.mu_family(K, {1: 1})
+
+
+def test_scales_and_radii_read_floats_as_the_kernels_do():
+    # one float -> Fraction rule for sequence parameters, scales and radii
+    third = Fraction(1, 3)
+    assert XiSequence.geometric(1 / 3).q == third
+    assert RenormScheme.mu_family(K, entries={2: 1 / 3}).mu_value(2) == third
+    assert RenormScheme.mu_family(K, default=1 / 3).mu_value(5) == third
+    assert CurrentWord.from_names(("J3",), radius=1 / 3).radii == (third,)
+    assert CurrentWord.from_names(("J3", "J3"), radius=("1/3", 1)).radii == (third, 1)
+    for bad in (Decimal("0.5"), 0.5j):
+        with pytest.raises(TypeError):
+            RenormScheme.mu_family(K, default=bad)
+        with pytest.raises(TypeError):
+            CurrentWord.from_names(("J3",), radius=bad)
 
 
 def test_renormalize_loop_chains():

@@ -16,7 +16,7 @@ import pytest
 import sympy as sp
 
 import loopcorr.verify as verify
-from loopcorr.algebra import SectorConfig, expand_current
+from loopcorr.algebra import CURRENTS_A, CURRENTS_K, SectorConfig, expand_current
 from loopcorr.diagrams import correlator_expression
 from loopcorr.distributions import Coeff, Expression, Term, canonicalize, smear
 from loopcorr.errors import RealizationMismatch
@@ -366,3 +366,53 @@ def test_non_integer_power_law():
     with pytest.raises(ValueError) as oracle:
         gaussian_oracle(("alpha+", "alpha-"), (Z1, Z2), K, seq, trunc=4, exact=True)
     assert str(series.value) == str(oracle.value)
+
+
+EXACT_WORDS = [(K, ("J+", "J-")), (K, ("J3", "J3")), (K, ("J+", "J3", "J-")),
+               (K, ("alpha+", "alpha-")), (KU, ("J+", "J-", "J3")),
+               (A, ("E", "F")), (A, ("H", "H")), (A, ("e+", "e-")), (AU, ("E", "F", "H"))]
+
+
+@pytest.mark.parametrize("cfg,names", EXACT_WORDS)
+def test_exact_values_stay_exact(cfg, names):
+    # an exact value that met a Python float anywhere carries sympy Floats;
+    # the engine writes a pair of exponential letters as one token
+    points = (Z1, Z2, CirclePoint(Fraction(3, 4), Fraction(1, 6)))[:len(names)]
+    radii = {k: pt.r for k, pt in enumerate(points)}
+    if names[0] in CURRENTS_K + CURRENTS_A:
+        expr = correlator_expression(names, cfg, radii)
+    else:
+        expr = Expression([Term(Coeff.unit(), exps=((0, 1), (1, -1)))], cfg.realization, radii)
+    expr = canonicalize(expr)
+    exact = {"kappa": sp.Rational(7, 10), "p": sp.Rational(3, 10), "exact": True}
+    pairs = [(gaussian_oracle(names, points, cfg, SEQ, trunc=2, **exact),
+              gaussian_oracle(names, points, cfg, SEQ, trunc=2, kappa=KAP, p=P)),
+             (expression_value(expr, points, SEQ, trunc=2, **exact),
+              expression_value(expr, points, SEQ, trunc=2, kappa=KAP, p=P))]
+    for value, approx in pairs:
+        assert sp.sympify(value).atoms(sp.Float) == set()
+        assert abs(complex(value) - approx) < 1e-12
+
+
+def test_evaluators_share_one_input_check():
+    far = CirclePoint(2, 0)
+    word = (("alpha+", 0), ("alpha-", 1))
+    expr = Expression([Term(Coeff.unit(), exps=((0, 1), (1, -1)))], realization="K")
+    calls = {
+        "oracle": lambda pts, trunc: gaussian_oracle(("alpha+", "alpha-"), pts, K, SEQ,
+                                                     trunc=trunc),
+        "letters": lambda pts, trunc: oracle_letters(word, dict(enumerate(pts)), K, SEQ,
+                                                     trunc=trunc),
+        "expression_value": lambda pts, trunc: expression_value(expr, dict(enumerate(pts)),
+                                                                SEQ, trunc=trunc),
+    }
+    for name, call in calls.items():
+        with pytest.raises(ValueError, match="radius 2 outside"):
+            call((Z1, far), 4)
+        with pytest.raises(ValueError, match="mode truncation must be >= 0, got -1"):
+            call((Z1, Z2), -1)
+    # a missing point is named by its index; the oracle's points are a sequence
+    with pytest.raises(ValueError, match="insertion 1"):
+        oracle_letters(word, {0: Z1}, K, SEQ, trunc=4)
+    with pytest.raises(ValueError, match="insertion 1"):
+        expression_value(expr, {0: Z1}, SEQ, trunc=4)
