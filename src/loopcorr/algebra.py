@@ -50,7 +50,15 @@ LA = "e-de+"           # the A consuming terminal
 K_LETTERS = {ALP, ALM, DALP, DALM, LK}
 A_LETTERS = {EP, EM, DEP, DEM, LA}
 
-EXP_CHARGE = {ALP: 1, ALM: -1, EP: 1, EM: -1, DALP: 1, DALM: -1, DEP: 1, DEM: -1}
+# the letters by role: plain exponentials, the angle derivative of each
+# (mapped to its exponential) and the consuming terminals
+EXP_LETTERS = frozenset({ALP, ALM, EP, EM})
+DERIV_BASE = {DALP: ALP, DALM: ALM, DEP: EP, DEM: EM}
+TERMINALS = frozenset({LK, LA})
+
+# exponential charge; a derivative letter carries the charge of its base
+EXP_CHARGE = {ALP: 1, ALM: -1, EP: 1, EM: -1}
+EXP_CHARGE.update({d: EXP_CHARGE[b] for d, b in DERIV_BASE.items()})
 
 CURRENTS_K = ("J+", "J-", "J3")
 CURRENTS_A = ("E", "F", "H")

@@ -33,8 +33,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
-from .algebra import (CURRENT_CHARGE, EXP_CHARGE, HALF, SectorConfig, expand_current,
-                      primitive_commutator)
+from .algebra import (CURRENT_CHARGE, DERIV_BASE, EXP_CHARGE, EXP_LETTERS, HALF, TERMINALS,
+                      SectorConfig, expand_current, primitive_commutator)
 from .distributions import Coeff, Expression, Term, charge_vanishes, gaussian_rule, orient
 from .errors import StructuralViolation
 
@@ -81,11 +81,6 @@ class Diagram:
     rho_singles: Tuple[int, ...] = ()
 
 
-_EXP_LETTERS = {"alpha+", "alpha-", "e+", "e-"}
-_DERIV_LETTERS = {"dalpha+": "alpha+", "dalpha-": "alpha-",
-                  "de+": "e+", "de-": "e-"}
-_TERMINALS = {"alpha-dalpha+", "e-de+"}
-
 _HALF = Coeff.complex_rat(HALF)
 
 
@@ -99,19 +94,18 @@ def vertex_choices(name: str, position: int, cfg: SectorConfig) -> Tuple[VertexC
             half = coeff * _HALF
             out.append(VertexChoice(position, name, half, stub="a"))
             out.append(VertexChoice(position, name, half, stub="b"))
-        elif len(letters) == 1 and letters[0] in _TERMINALS:
+        elif len(letters) == 1 and letters[0] in TERMINALS:
             out.append(VertexChoice(position, name, coeff, terminal=True))
-        elif len(letters) == 1 and letters[0] in _DERIV_LETTERS:
-            base = _DERIV_LETTERS[letters[0]]
+        elif len(letters) == 1 and letters[0] in DERIV_BASE:
             out.append(VertexChoice(position, name, coeff,
-                                    charge=EXP_CHARGE[base], deriv=True))
-        elif len(letters) == 2 and letters[0] == "b" and letters[1] in _EXP_LETTERS:
+                                    charge=EXP_CHARGE[letters[0]], deriv=True))
+        elif len(letters) == 2 and letters[0] == "b" and letters[1] in EXP_LETTERS:
             out.append(VertexChoice(position, name, coeff,
                                     charge=EXP_CHARGE[letters[1]], stub="b"))
-        elif len(letters) == 2 and letters[1] == "a" and letters[0] in _EXP_LETTERS:
+        elif len(letters) == 2 and letters[1] == "a" and letters[0] in EXP_LETTERS:
             out.append(VertexChoice(position, name, coeff,
                                     charge=EXP_CHARGE[letters[0]], stub="a"))
-        elif len(letters) == 2 and letters[0] == "rho" and letters[1] in _EXP_LETTERS:
+        elif len(letters) == 2 and letters[0] == "rho" and letters[1] in EXP_LETTERS:
             out.append(VertexChoice(position, name, coeff,
                                     charge=EXP_CHARGE[letters[1]], rho=True))
         else:

@@ -42,7 +42,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .errors import SingularProduct, StructuralViolation
-from .kernels import XiSequence, mode_series
+from .kernels import XiSequence, _as_fraction, mode_series
 
 # ---------------------------------------------------------------------------
 # coefficients: exact complex polynomials in kappa, p, xi0, mu_k
@@ -72,9 +72,11 @@ def _mono_mul(m1: Mono, m2: Mono) -> Mono:
 
 def _ratio(x) -> Tuple[int, int]:
     """Numerator and denominator of an exact rational.  An int or a Fraction
-    is read as it is; anything else goes through ``Fraction``."""
+    is read as it is; anything else goes through
+    :func:`~loopcorr.kernels._as_fraction`, so a float is read as the nearest
+    small fraction and a type that is not rational raises ``TypeError``."""
     if not isinstance(x, (int, Fraction)):
-        x = Fraction(x)
+        x = _as_fraction(x, "a rational part")
     return x.numerator, x.denominator
 
 

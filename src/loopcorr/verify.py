@@ -7,12 +7,27 @@ diagrams it works in a mode-truncated model of the loop algebra:
 * a and b letters are eliminated by recursive normal ordering -- a moves
   right (it kills the state on the right), b moves left (it kills it on the
   left), and every crossing picks up the regulated commutator, a finite
-  geometric-type sum over modes |n| <= trunc;
+  geometric-type sum over modes |n| <= trunc.  The first a/b letter of a
+  word moves, so only a ever crosses another a/b letter;
 * the residual word contains only exponential letters (alpha^+-, e^+-, their
   angle derivatives and the consuming quadratic letters) plus Heisenberg
   insertions, and is evaluated as a Gaussian expectation: exponentials give
   exp(<Gamma, C Gamma>/2), derivative letters give linear factors paired by
   Isserlis' theorem, rho insertions pair independently with mean p.
+
+Every rule follows from two constants of the realization: the field scale
+s, with X^q = e^{s q phi} (s = i in K, 1 in A), and the commutator constant
+c = i s (-1 in K, i in A).  With delta the regulated delta in the a/b angle:
+
+    letter             [a, letter]                         Gaussian factors
+    X^q                c q delta X^q                       Gamma of charge s q
+    dX^q               -c q delta' X^q + c q delta dX^q    the same, linear c q
+    terminal X^-dX^+   -c delta'                           linear factor c
+
+The letters come from the alphabet of :mod:`loopcorr.algebra`; the
+constants live here, apart from :func:`~loopcorr.algebra.primitive_commutator`,
+so the oracle stays an independent reference.  :func:`gaussian_oracle` and
+:func:`oracle_letters` check every letter once, at entry.
 
 Values are plain complex numbers by default, or exact sympy expressions with
 ``exact=True`` (points with rational radius/turn; kappa and p may then even
@@ -39,9 +54,12 @@ from .algebra import (
     CURRENT_STAR,
     CURRENTS_A,
     CURRENTS_K,
+    DERIV_BASE,
     EXP_CHARGE,
+    EXP_LETTERS,
     HALF,
     K_LETTERS,
+    TERMINALS,
     SectorConfig,
     expand_current,
 )
@@ -62,6 +80,29 @@ from .renorm import CurrentWord, RenormScheme, evaluate_correlator
 logger = logging.getLogger(__name__)
 
 Word = Tuple[Tuple[str, int], ...]
+
+# each exponential-type letter as (q, l, base): the letter is X^q times,
+# when l != 0, the factor l s phi', and base is the letter without that factor
+_ROLES: Dict[str, Tuple[int, int, Tuple[str, ...]]] = {
+    **{x: (EXP_CHARGE[x], 0, (x,)) for x in EXP_LETTERS},
+    **{d: (EXP_CHARGE[d], EXP_CHARGE[d], (b,)) for d, b in DERIV_BASE.items()},
+    **{t: (0, 1, ()) for t in TERMINALS},
+}
+
+
+def _constants(realization: str, ar: Arith):
+    """(s, c) of the realization: X^q = e^{s q phi} and c = i s."""
+    return (ar.i, -1) if realization == "K" else (ar.rat(1), ar.i)
+
+
+def _check_letter(name: str, cfg: SectorConfig) -> None:
+    """Raise ``RealizationMismatch`` for a letter of the other realization
+    and ``ValueError`` for a name outside the primitive alphabet."""
+    for realization, letters in (("K", K_LETTERS), ("A", A_LETTERS)):
+        if name in letters and cfg.realization != realization:
+            raise RealizationMismatch(f"letter {name} needs the {realization} realization")
+    if name not in _ROLES and name not in ("a", "b", "h", "rho"):
+        raise ValueError(f"unknown letter {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -131,33 +172,24 @@ def _cov_pair(v: Dict[int, object], w: Dict[int, object], cov, zero):
     return total
 
 
-def _factor_pairings(factors, gamma_total, cov, ar: Arith):
-    """Isserlis over linear factors with the tilt <F, C Gamma> for singles."""
-    if not factors:
-        return ar.one
-    first, rest = factors[0], factors[1:]
-    total = _cov_pair(first, gamma_total, cov, ar.zero) * \
-        _factor_pairings(rest, gamma_total, cov, ar)
-    for idx in range(len(rest)):
-        pair = _cov_pair(first, rest[idx], cov, ar.zero)
-        total = total + pair * _factor_pairings(
-            rest[:idx] + rest[idx + 1:], gamma_total, cov, ar)
-    return total
+def _isserlis(items, single, pair, one):
+    """Isserlis' sum over the items: every way of matching some of them in
+    pairs, each pair weighted pair(x, y) and each unmatched item single(x).
+    The weights are computed once, before the recursion."""
+    n = len(items)
+    singles = [single(x) for x in items]
+    pairs = {(a, b): pair(items[a], items[b]) for a in range(n) for b in range(a + 1, n)}
 
+    def total(idx):
+        if not idx:
+            return one
+        first, rest = idx[0], idx[1:]
+        out = singles[first] * total(rest)
+        for k in range(len(rest)):
+            out = out + pairs[first, rest[k]] * total(rest[:k] + rest[k + 1:])
+        return out
 
-def _rho_pairings(zs, N, kappa, p, realization, ar: Arith):
-    """Isserlis over rho insertions: mean p, and each pair 2 kappa sum n x^n
-    with x = zi conj(zj) (K) or conj(zi) zj (A)."""
-    if not zs:
-        return ar.one
-    first, rest = zs[0], zs[1:]
-    total = p * _rho_pairings(rest, N, kappa, p, realization, ar)
-    for idx in range(len(rest)):
-        zj = rest[idx]
-        x = first * zj.conjugate() if realization == "K" else first.conjugate() * zj
-        total = total + 2 * kappa * mode_series(x, 0, 0, "wavy", None, N, ar.exact) * \
-            _rho_pairings(rest[:idx] + rest[idx + 1:], N, kappa, p, realization, ar)
-    return total
+    return total(tuple(range(n)))
 
 
 def _mode_eval(letters: Word, zs: Mapping[int, object], cfg: SectorConfig,
@@ -167,60 +199,31 @@ def _mode_eval(letters: Word, zs: Mapping[int, object], cfg: SectorConfig,
 
     Exponentials are *unnormalized*: E[e^{i q phi(z)}] = e^{-q^2 N(z,z)/2},
     matching the self-energy convention of the engine's exponential tokens.
+    Rho insertions have mean p, and each pair of them 2 kappa sum n x^n with
+    x = zi conj(zj) (K) or conj(zi) zj (A).
     """
-    i, zero, unit = ar.i, ar.zero, ar.rat(1)
-    is_a = cfg.realization == "A"
+    zero, unit = ar.zero, ar.rat(1)
+    is_k = cfg.realization == "K"
+    s, c = _constants(cfg.realization, ar)
     gammas: List[Dict[int, object]] = []
     factors: List[Dict[int, object]] = []
     rhos: List[object] = []
-    charge = 0
-
-    def gamma_of(z, scale):
-        g = {}
-        for m in range(-N, N + 1):
-            if m == 0 and not is_a:
-                continue
-            g[m] = scale * _psi(z, m, unit)
-        return g
-
-    def linear(z, scale):
-        return {m: scale * m * _psi(z, m, unit) for m in range(-N, N + 1) if m != 0}
+    charges: List[int] = []
 
     for name, idx in letters:
         z = zs[idx]
         if name == "rho":
             rhos.append(z)
             continue
-        if name in ("alpha+", "alpha-", "dalpha+", "dalpha-", "alpha-dalpha+"):
-            if is_a:
-                raise RealizationMismatch(f"{name} letter in an A-realization word")
-        elif name in ("e+", "e-", "de+", "de-", "e-de+"):
-            if not is_a:
-                raise RealizationMismatch(f"{name} letter in a K-realization word")
-        else:
-            raise ValueError(f"letter {name!r} cannot appear in a reduced word")
-        if name in ("alpha+", "alpha-"):
-            eps = EXP_CHARGE[name]
-            gammas.append(gamma_of(z, i * eps))
-            charge += eps
-        elif name in ("e+", "e-"):
-            gammas.append(gamma_of(z, EXP_CHARGE[name] * unit))
-        elif name in ("dalpha+", "dalpha-"):
-            eps = EXP_CHARGE[name]
-            gammas.append(gamma_of(z, i * eps))
-            charge += eps
-            factors.append(linear(z, -eps))
-        elif name in ("de+", "de-"):
-            sig = EXP_CHARGE[name]
-            gammas.append(gamma_of(z, sig * unit))
-            factors.append(linear(z, i * sig))
-        elif name == "alpha-dalpha+":
-            # alpha^- d(alpha^+) = i d(phi): the exponentials cancel exactly
-            factors.append(linear(z, -1))
-        elif name == "e-de+":
-            factors.append(linear(z, i))
+        q, l, _ = _ROLES[name]
+        charges.append(q)
+        if q:  # K drops the zero mode of phi
+            gammas.append({m: s * q * _psi(z, m, unit) for m in range(-N, N + 1)
+                           if m or not is_k})
+        if l:
+            factors.append({m: c * l * m * _psi(z, m, unit) for m in range(-N, N + 1) if m})
 
-    if cfg.realization == "K" and charge != 0:
+    if charge_vanishes(cfg.realization, charges):
         return zero
 
     gamma_total: Dict[int, object] = {}
@@ -228,12 +231,16 @@ def _mode_eval(letters: Word, zs: Mapping[int, object], cfg: SectorConfig,
         for m, v in g.items():
             gamma_total[m] = gamma_total.get(m, zero) + v
 
-    cov = series_coefficients("NA" if is_a else "NK", seq, N, ar.exact)
-    exp_arg = _cov_pair(gamma_total, gamma_total, cov, zero) / 2
-    value = ar.exp(exp_arg)
-    value = value * _factor_pairings(tuple(factors), gamma_total, cov, ar)
-    value = value * _rho_pairings(tuple(rhos), N, kappa, p, cfg.realization, ar)
-    return value
+    cov = series_coefficients("NK" if is_k else "NA", seq, N, ar.exact)
+    value = ar.exp(_cov_pair(gamma_total, gamma_total, cov, zero) / 2)
+    value = value * _isserlis(factors, lambda f: _cov_pair(f, gamma_total, cov, zero),
+                              lambda f, g: _cov_pair(f, g, cov, zero), ar.one)
+
+    def rho_pair(zi, zj):
+        x = zi * zj.conjugate() if is_k else zi.conjugate() * zj
+        return 2 * kappa * mode_series(x, 0, 0, "wavy", None, N, ar.exact)
+
+    return value * _isserlis(rhos, lambda z: p, rho_pair, ar.one)
 
 
 # ---------------------------------------------------------------------------
@@ -241,14 +248,11 @@ def _mode_eval(letters: Word, zs: Mapping[int, object], cfg: SectorConfig,
 # ---------------------------------------------------------------------------
 
 
-def _comm_value(right: str, z_ab, z_r, cfg: SectorConfig, seq: XiSequence,
-                N: int, ar: Arith, left: str):
-    """[left(z_ab), right(z_r)] as a list of (scalar, replacement letters).
-
-    left is 'a' or 'b'; both have the same commutator with every
-    multiplication letter.  Only the a/b crossing distinguishes them.
-    """
-    i = ar.i
+def _comm_value(right: str, z_ab, z_r, c, cfg: SectorConfig, seq: XiSequence,
+                N: int, ar: Arith):
+    """[a(z_ab), right(z_r)] as a list of (scalar, replacement letters), c
+    the commutator constant of the realization.  b has the same commutator
+    with every letter but a and b, and it never crosses either."""
 
     def delta(k):
         # k-th derivative of the regulated delta in the a/b angle; the
@@ -256,34 +260,21 @@ def _comm_value(right: str, z_ab, z_r, cfg: SectorConfig, seq: XiSequence,
         return _pair_series(z_ab, z_r, k, "delta", None, N, ar)
 
     if right in ("a", "b"):
-        if right == left or not cfg.unitary:
+        if right == "a" or not cfg.unitary:
             return []
-        sign = 1 if left == "a" else -1
         val = _pair_series(z_ab, z_r, 0, "D", seq, N, ar)
         if cfg.realization == "A":
             val = val + 1 / (2 * ar.rat(seq.xi0))
-        return [(sign * val, ())]
+        return [(val, ())]
     if right == "rho":
         return []
-    if right in ("alpha+", "alpha-"):
-        eps = EXP_CHARGE[right]
-        return [(-eps * delta(0), (right,))]
-    if right in ("e+", "e-"):
-        sig = EXP_CHARGE[right]
-        return [(i * sig * delta(0), (right,))]
-    if right in ("dalpha+", "dalpha-"):
-        eps = EXP_CHARGE[right]
-        base = "alpha+" if eps > 0 else "alpha-"
-        return [(eps * delta(1), (base,)), (-eps * delta(0), (right,))]
-    if right in ("de+", "de-"):
-        sig = EXP_CHARGE[right]
-        base = "e+" if sig > 0 else "e-"
-        return [(-i * sig * delta(1), (base,)), (i * sig * delta(0), (right,))]
-    if right == "alpha-dalpha+":
-        return [(delta(1), ())]
-    if right == "e-de+":
-        return [(-i * delta(1), ())]
-    raise ValueError(f"unknown letter {right!r}")
+    q, l, base = _ROLES[right]
+    out = []
+    if l:
+        out.append((-c * l * delta(1), base))
+    if q:
+        out.append((c * q * delta(0), (right,)))
+    return out
 
 
 def _reduced_sum(word: Word, zs: Mapping[int, object], cfg: SectorConfig,
@@ -306,8 +297,11 @@ def oracle_letters(word: Sequence[Tuple[str, int]], points: Mapping[int, CircleP
                    kappa=1, p=0, exact: bool = False):
     """Expectation of a word of primitive letters (name, point index): the
     sum :func:`_reduced_sum` makes.  Raises ``ValueError`` for a point
-    outside the closed unit disc, a missing point the word needs or
-    ``trunc < 0``."""
+    outside the closed unit disc, a missing point the word needs,
+    ``trunc < 0`` or an unknown letter, and ``RealizationMismatch`` for a
+    letter of the other realization."""
+    for name, _ in word:
+        _check_letter(name, cfg)
     ar = arith(exact)
     zs = _point_values(points, trunc, ar)
     return _reduced_sum(tuple(word), zs, cfg, seq, trunc, kappa, p, ar, {})
@@ -319,45 +313,38 @@ def _reduced_words(word: Word, zs: Mapping[int, object], cfg: SectorConfig,
     rewrites to, c its coefficient.
 
     The first a/b letter is commuted across the whole word in a single pass
-    (a to the right end, where it annihilates; b to the left end); every
-    crossing emits a commutator branch with one a/b letter fewer, so the
-    rewriting terminates.
+    (a to the right end, where it annihilates; b to the left end, crossing
+    X at the cost -[b, X]); every crossing emits a commutator branch with
+    one a/b letter fewer, so the rewriting terminates.
     """
     half = ar.rat(HALF)
+    c = _constants(cfg.realization, ar)[1]
     stack: List[Tuple[object, Word]] = [(ar.one, tuple(word))]
     while stack:
-        c, ls = stack.pop()
+        coef, ls = stack.pop()
         hpos = next((k for k, (nm, _) in enumerate(ls) if nm == "h"), None)
         if hpos is not None:
             _, ix = ls[hpos]
             for repl in ("a", "b"):
-                stack.append((c * half, ls[:hpos] + ((repl, ix),) + ls[hpos + 1:]))
+                stack.append((coef * half, ls[:hpos] + ((repl, ix),) + ls[hpos + 1:]))
             continue
-        abpos = next((k for k, (nm, _) in enumerate(ls) if nm in ("a", "b")), None)
-        if abpos is None:
-            yield c, ls
+        k = next((k for k, (nm, _) in enumerate(ls) if nm in ("a", "b")), None)
+        if k is None:
+            yield coef, ls
             continue
-        k = abpos
         nm, ix = ls[k]
-        z_ab = zs[ix]
         rest = ls[:k] + ls[k + 1:]  # the word without the moving letter
-        if nm == "b":
-            # word = prefix X_{k-1} ... X_0-side; crossing X_j costs -[b, X_j]
-            for j in range(k - 1, -1, -1):
-                other = ls[j]
-                for val, repl in _comm_value(other[0], z_ab, zs[other[1]], cfg, seq,
-                                             trunc, ar, "b"):
-                    new = rest[:j] + tuple((r, other[1]) for r in repl) + rest[j + 1:]
-                    stack.append((-c * val, new))
-            # b that reaches the front annihilates the state: no term
+        # the letters crossed, how far each sits left of its place in rest
+        if nm == "a":
+            crossed, off, sign_coef = range(k + 1, len(ls)), 1, coef
         else:
-            for j in range(k + 1, len(ls)):
-                other = ls[j]
-                for val, repl in _comm_value(other[0], z_ab, zs[other[1]], cfg, seq,
-                                             trunc, ar, "a"):
-                    new = rest[:j - 1] + tuple((r, other[1]) for r in repl) + rest[j:]
-                    stack.append((c * val, new))
-            # a that reaches the right end annihilates: no term
+            crossed, off, sign_coef = range(k - 1, -1, -1), 0, -coef
+        for j in crossed:
+            other, jx = ls[j]
+            for val, repl in _comm_value(other, zs[ix], zs[jx], c, cfg, seq, trunc, ar):
+                new = rest[:j - off] + tuple((r, jx) for r in repl) + rest[j - off + 1:]
+                stack.append((sign_coef * val, new))
+        # a/b letter that reaches the end of the word annihilates: no term
 
 
 def gaussian_oracle(names: Sequence[str], points: Sequence[CirclePoint],
@@ -369,8 +356,9 @@ def gaussian_oracle(names: Sequence[str], points: Sequence[CirclePoint],
     letter; insertion k sits at points[k].  Completely independent of the
     diagram enumeration: currents are expanded, a/b letters are normal
     ordered away, and the residue is evaluated by Gaussian pairing.
-    Raises ``ValueError`` for a point outside the closed unit disc or
-    ``trunc < 0``.
+    Raises ``ValueError`` for a point outside the closed unit disc,
+    ``trunc < 0`` or an unknown letter, and ``RealizationMismatch`` for a
+    letter or current of the other realization.
     """
     if len(points) != len(names):
         raise ValueError("need exactly one point per insertion")
@@ -386,10 +374,7 @@ def gaussian_oracle(names: Sequence[str], points: Sequence[CirclePoint],
                 opts.append((cval, tuple((s, k) for s in term.symbols)))
             expansions.append(opts)
         else:
-            if nm in K_LETTERS and cfg.realization != "K":
-                raise RealizationMismatch(f"letter {nm} needs the K realization")
-            if nm in A_LETTERS and cfg.realization != "A":
-                raise RealizationMismatch(f"letter {nm} needs the A realization")
+            _check_letter(nm, cfg)
             expansions.append([(ar.one, ((nm, k),))])
 
     total = ar.zero

@@ -3,6 +3,12 @@ import sympy as sp
 from fractions import Fraction
 
 from loopcorr.algebra import (
+    A_LETTERS,
+    DERIV_BASE,
+    EXP_CHARGE,
+    EXP_LETTERS,
+    K_LETTERS,
+    TERMINALS,
     SectorConfig,
     expand_current,
     current_def,
@@ -49,6 +55,20 @@ def test_expand_realization_mismatch():
         expand_current("J+", 0, A_CFG)
     with pytest.raises(RealizationMismatch):
         expand_current("E", 0, K_CFG)
+
+
+def test_letter_roles_cover_the_alphabet_once():
+    # every exponential-type letter has exactly one role, and a derivative
+    # letter has the charge and the realization of its exponential
+    assert set(EXP_CHARGE) | set(DERIV_BASE) | TERMINALS == K_LETTERS | A_LETTERS
+    assert set(EXP_CHARGE) == EXP_LETTERS | set(DERIV_BASE)
+    assert not (EXP_LETTERS & set(DERIV_BASE)) and not (TERMINALS & set(EXP_CHARGE))
+    assert not K_LETTERS & A_LETTERS
+    for d, base in DERIV_BASE.items():
+        assert base in EXP_LETTERS
+        assert EXP_CHARGE[d] == EXP_CHARGE[base]
+        assert (d in K_LETTERS) == (base in K_LETTERS)
+        assert (d in A_LETTERS) == (base in A_LETTERS)
 
 
 def test_sector_config_validation():

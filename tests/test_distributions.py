@@ -1,6 +1,7 @@
 import cmath
 import json
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -103,6 +104,15 @@ def test_coeff_arithmetic_is_exact(a, b, s):
     re, im = s
     _check_exact(a.scale(re, im), sp.expand(a.to_sympy() * (sp.Rational(re) + sp.I * im)))
     assert a.d == before_a and b.d == before_b
+
+
+def test_float_parts_read_like_sequence_parameters():
+    # a float part is the nearest small fraction, as XiSequence reads it,
+    # not the binary expansion of the float
+    assert Coeff.unit(re=0.1) == Coeff.unit(re=Fraction(1, 10))
+    assert Coeff.complex_rat(0.5, -0.25) == Coeff.complex_rat(Fraction(1, 2), Fraction(-1, 4))
+    with pytest.raises(TypeError, match="Decimal"):
+        Coeff.unit(re=Decimal("0.1"))
 
 
 def test_loop_scale_substitution():

@@ -229,6 +229,23 @@ def test_realization_guards():
         gaussian_oracle(("E", "F"), (Z1, Z2), K, SEQ, trunc=4)
 
 
+def test_both_entry_points_check_every_letter():
+    # a wrong or unknown letter is refused even where its word reduces to
+    # zero, with the same message from both entry points
+    pts = (Z1, Z2)
+    cases = [(("alpha+", "a"), A, RealizationMismatch, r"alpha\+ needs the K realization"),
+             (("e-", "a"), K, RealizationMismatch, "e- needs the A realization"),
+             (("zz", "a"), K, ValueError, "unknown letter 'zz'")]
+    for names, cfg, error, message in cases:
+        with pytest.raises(error, match=message):
+            oracle_letters(list(zip(names, range(2))), dict(enumerate(pts)), cfg, SEQ, trunc=4)
+        with pytest.raises(error, match=message):
+            gaussian_oracle(names, pts, cfg, SEQ, trunc=4)
+    # oracle_letters takes primitive letters only
+    with pytest.raises(ValueError, match=r"unknown letter 'J\+'"):
+        oracle_letters([("a", 0), ("J+", 1)], dict(enumerate(pts)), K, SEQ, trunc=4)
+
+
 def test_expression_value_matches_oracle_exponentials():
     # the engine encodes <alpha^+(1) alpha^-(2)> as a single exponential
     # token with charges +1, -1 and unit coefficient
